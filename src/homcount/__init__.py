@@ -28,8 +28,6 @@ from .homsearch import CountResult, count_morphisms, hom_count
 from .quotposet import (
     FinitePoset,
     QuotientPoset,
-    mobius,
-    mobius_invert,
     quotient_poset,
     set_partitions,
 )

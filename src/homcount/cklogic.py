@@ -23,6 +23,7 @@ from .sigstruct import (
     GRAPH_SIGNATURE,
     Signature,
     Structure,
+    _merge_projection,
     canonical_form,
     canonical_representative,
 )
@@ -436,25 +437,11 @@ def quotient_by_I(b: Structure) -> Structure:
     i_idx = b.signature.index("I")
     if b.signature.symbols[i_idx][1] != 2:
         raise ValueError("I must be binary")
-    parent = list(range(b.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, y in b.relations[i_idx]:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    reps = sorted({find(x) for x in range(b.size)})
-    index = {r: i for i, r in enumerate(reps)}
-    proj = [index[find(x)] for x in range(b.size)]
+    proj = _merge_projection(b.size, b.relations[i_idx])
     sig = Signature(tuple(s for i, s in enumerate(b.signature.symbols) if i != i_idx))
     rels = tuple(
         frozenset(tuple(proj[x] for x in t) for t in rel)
         for i, rel in enumerate(b.relations)
         if i != i_idx
     )
-    return Structure(sig, len(reps), rels)
+    return Structure(sig, len(set(proj)), rels)

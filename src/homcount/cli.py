@@ -307,7 +307,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_mobius(args) -> int:
     _, c = _first_structure(args.source)
-    q = quotient_poset(c, _system(args.system))
+    q = quotient_poset(c)
     for i, e in enumerate(q.elements):
         print(f"element\t{i}\t{_partition_text(e.partition)}")
     for i in range(len(q)):

@@ -163,12 +163,3 @@ def iter_hom_maps(c: Structure, a: Structure):
 def hom_count(c: Structure, a: Structure) -> int:
     """Shorthand for the plain homomorphism count."""
     return count_morphisms(c, a).count
-
-
-def count_class(
-    c: Structure,
-    a: Structure,
-    cls: MorphismClass,
-    system: FactorisationSystem = SE_M,
-) -> int:
-    return count_morphisms(c, a, cls, system).count

@@ -15,12 +15,17 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapExceededError
 from .homsearch import count_morphisms, hom_count
-from .quotposet import FinitePoset, quotient_poset
+from .quotposet import (
+    FinitePoset,
+    check_partition_cap,
+    collapse_structure,
+    partition_mobius,
+    set_partitions,
+)
 from .sigstruct import (
     SE_M,
     E_SM,
@@ -45,7 +50,12 @@ PROFILES_EQUAL = "profiles-equal-within-budget"
 def structure_cap() -> int:
     """Global cap on enumerated candidate structures; HOMCOUNT_CAP overrides."""
     raw = os.environ.get("HOMCOUNT_CAP")
-    return int(raw) if raw else DEFAULT_STRUCTURE_CAP
+    if not raw:
+        return DEFAULT_STRUCTURE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"HOMCOUNT_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -144,15 +154,16 @@ def embeddings_via_mobius(c: Structure, a: Structure,
     Sets f1(q) = |hom(cod q, a)| on the quotient classes of c and inverts;
     the value at the top (identity) class is the number of embeddings c -> a
     for the chosen system.  Under SE_M the classes are the kernel-partition
-    collapses.  Under E_SM the poset is restricted to the classes realized by
-    maps into a (plus the top): inversion over that finite sub-poset is valid
-    because every class carrying generic elements of any f1-value is present.
+    collapses and mu(class, top) is the closed form `partition_mobius`, so no
+    poset is built.  Under E_SM the poset is restricted to the classes
+    realized by maps into a (plus the top): inversion over that finite
+    sub-poset is valid because every class carrying generic elements of any
+    f1-value is present.
     """
     if system is SE_M:
-        q = quotient_poset(c, system)
-        f1 = [hom_count(e.codomain, a) for e in q.elements]
-        f2 = mobius_invert_ints(q.poset, f1)
-        return f2[q.top]
+        check_partition_cap(c.size)
+        return sum(partition_mobius(p) * hom_count(collapse_structure(c, p)[0], a)
+                   for p in set_partitions(c.size))
 
     realized = _realized_quotients(c, a)
     top_key = (tuple((x,) for x in range(c.size)), c.relations)
@@ -194,15 +205,11 @@ def embeddings_via_mobius(c: Structure, a: Structure,
 
 
 def mobius_invert_ints(poset: FinitePoset, f1) -> list[int]:
-    """Integer-valued Moebius inversion (values here are always integral)."""
-    out = []
-    for y in range(poset.size):
-        total = sum(f1[x] * poset.mobius(x, y) for x in poset.down_set(y))
-        if isinstance(total, Fraction):
-            assert total.denominator == 1
-            total = int(total)
-        out.append(total)
-    return out
+    """Given integers f1 on the poset, return f2 with
+    f2(y) = sum_{x<=y} f1(x) mu(x,y), the unique solution of
+    f1(y) = sum_{x<=y} f2(x)."""
+    return [sum(f1[x] * poset.mobius(x, y) for x in poset.down_set(y))
+            for y in range(poset.size)]
 
 
 def distinguish(a: Structure, b: Structure, budget: int, side: str = RIGHT,

@@ -1,28 +1,35 @@
-"""Quotient posets of structures, incidence algebras and Moebius inversion.
+"""Set partitions, quotient posets of structures, and their Moebius function.
 
 A quotient class of a structure c is keyed by the kernel partition of its
 projection together with the induced codomain (relation tuples are images of
 c's tuples).  The order is "x <= y iff x factors through y", i.e. the kernel
 of y refines the kernel of x; the identity class is the unique top element.
-Exact (integer / Fraction) arithmetic throughout.
+The interval from a class up to the top is a product of partition lattices,
+one per kernel block, so mu(class, top) has a closed form
+(`partition_mobius`).  Exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial
 
 from .errors import CapExceededError
-from .sigstruct import (
-    SE_M,
-    FactorisationSystem,
-    Morphism,
-    Structure,
-)
+from .sigstruct import Structure
 
 PARTITION_SIZE_CAP = 8
 
 Partition = tuple[tuple[int, ...], ...]
+
+
+def check_partition_cap(size: int) -> None:
+    """Refuse to enumerate the set partitions of more than
+    PARTITION_SIZE_CAP elements."""
+    if size > PARTITION_SIZE_CAP:
+        raise CapExceededError(
+            f"partition enumeration cap {PARTITION_SIZE_CAP} exceeded by size {size}",
+            count=size,
+        )
 
 
 def set_partitions(n: int):
@@ -60,6 +67,17 @@ def partition_refines(p: Partition, q: Partition, n: int) -> bool:
         for x in block:
             block_of_q[x] = bi
     return all(len({block_of_q[x] for x in block}) == 1 for block in p)
+
+
+def partition_mobius(partition: Partition) -> int:
+    """mu(class, top) for the class with this kernel partition: the product
+    over blocks B of (-1)^(|B|-1) (|B|-1)!, the Moebius value of the
+    partition lattice of B (Rota 1964)."""
+    mu = 1
+    for block in partition:
+        k = len(block) - 1
+        mu *= (-1) ** k * factorial(k)
+    return mu
 
 
 def collapse_structure(c: Structure, partition: Partition) -> tuple[Structure, tuple[int, ...]]:
@@ -103,12 +121,6 @@ class FinitePoset:
     def up_set(self, x: int):
         return sorted(self._up[x])
 
-    def zeta(self, x: int, y: int) -> int:
-        return 1 if y in self._up[x] else 0
-
-    def delta(self, x: int, y: int) -> int:
-        return 1 if x == y else 0
-
     def mobius(self, x: int, y: int) -> int:
         """mu(x,x) = 1 and mu(x,y) = -sum_{x <= z < y} mu(x,z)."""
         if y not in self._up[x]:
@@ -134,7 +146,6 @@ class FinitePoset:
 class QuotientClass:
     partition: Partition
     codomain: Structure
-    representative: Morphism
 
 
 class QuotientPoset:
@@ -157,24 +168,17 @@ class QuotientPoset:
         raise KeyError(partition)
 
 
-def quotient_poset(c: Structure, system: FactorisationSystem = SE_M,
-                   cap: int = PARTITION_SIZE_CAP) -> QuotientPoset:
-    """The partition-keyed quotient poset of c.
+def quotient_poset(c: Structure) -> QuotientPoset:
+    """The partition-keyed quotient poset of c, classes in `set_partitions`
+    order.
 
-    For both systems the representative of a class is the image factorization
-    (the projection onto the collapsed structure), so the codomain relations
-    are images; the identity class is the top element.
+    Each class's codomain is the collapse of c by its kernel partition, so
+    the projection onto it is a quotient under both factorisation systems and
+    the poset is the same for both; the identity class is the top element.
     """
-    if c.size > cap:
-        raise CapExceededError(
-            f"partition enumeration cap {cap} exceeded by size {c.size}",
-            count=c.size,
-        )
-    classes = []
-    for partition in set_partitions(c.size):
-        quotient, proj = collapse_structure(c, partition)
-        rep = Morphism.build(c, quotient, proj, system)
-        classes.append(QuotientClass(partition, quotient, rep))
+    check_partition_cap(c.size)
+    classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
+                    for partition in set_partitions(c.size))
     n = len(classes)
     leq = [[partition_refines(classes[j].partition, classes[i].partition, c.size)
             for j in range(n)] for i in range(n)]
@@ -182,93 +186,4 @@ def quotient_poset(c: Structure, system: FactorisationSystem = SE_M,
     poset = FinitePoset(n, leq)
     top = poset.top()
     assert top is not None and len(classes[top].partition) == c.size
-    return QuotientPoset(c, tuple(classes), poset, top)
-
-
-class IncidenceFunction:
-    """An element of the incidence algebra of a finite poset: a rational
-    function on pairs, zero whenever x is not <= y, with the convolution
-    product (f g)(x,y) = sum over x <= z <= y of f(x,z) g(z,y)."""
-
-    def __init__(self, poset: FinitePoset, values=None):
-        self.poset = poset
-        self._values: dict[tuple[int, int], Fraction] = {}
-        for (x, y), v in (values or {}).items():
-            v = Fraction(v)
-            if v:
-                if not poset.leq(x, y):
-                    raise ValueError(f"nonzero value on incomparable pair {x},{y}")
-                self._values[(x, y)] = v
-
-    def __call__(self, x: int, y: int) -> Fraction:
-        return self._values.get((x, y), Fraction(0))
-
-    def convolve(self, other: "IncidenceFunction") -> "IncidenceFunction":
-        if other.poset is not self.poset:
-            raise ValueError("convolution needs a shared poset")
-        p = self.poset
-        values = {}
-        for x in range(p.size):
-            for y in p.up_set(x):
-                total = sum(
-                    (self(x, z) * other(z, y)
-                     for z in p.up_set(x) if p.leq(z, y)),
-                    start=Fraction(0),
-                )
-                if total:
-                    values[(x, y)] = total
-        return IncidenceFunction(p, values)
-
-    def __eq__(self, other):
-        return (isinstance(other, IncidenceFunction)
-                and self.poset is other.poset
-                and self._values == other._values)
-
-    @staticmethod
-    def delta(poset: FinitePoset) -> "IncidenceFunction":
-        return IncidenceFunction(poset, {(x, x): 1 for x in range(poset.size)})
-
-    @staticmethod
-    def zeta(poset: FinitePoset) -> "IncidenceFunction":
-        return IncidenceFunction(
-            poset,
-            {(x, y): 1 for x in range(poset.size) for y in poset.up_set(x)},
-        )
-
-    @staticmethod
-    def mobius(poset: FinitePoset) -> "IncidenceFunction":
-        return IncidenceFunction(
-            poset,
-            {(x, y): poset.mobius(x, y)
-             for x in range(poset.size) for y in poset.up_set(x)},
-        )
-
-
-def mobius(poset: FinitePoset, x: int, y: int) -> int:
-    return poset.mobius(x, y)
-
-
-def mobius_invert(poset: FinitePoset, f1) -> list[Fraction]:
-    """Given f1 on the poset, return f2 with f2(y) = sum_{x<=y} f1(x) mu(x,y),
-    the unique solution of f1(y) = sum_{x<=y} f2(x)."""
-    values = [Fraction(f1[x]) if not isinstance(f1[x], Fraction) else f1[x]
-              for x in range(poset.size)]
-    return [
-        sum(
-            (values[x] * poset.mobius(x, y) for x in poset.down_set(y)),
-            start=Fraction(0),
-        )
-        for y in range(poset.size)
-    ]
-
-
-def forward_sum(poset: FinitePoset, f2) -> list[Fraction]:
-    """f1(y) = sum_{x<=y} f2(x), the inverse of mobius_invert."""
-    return [
-        sum((Fraction(f2[x]) for x in poset.down_set(y)), start=Fraction(0))
-        for y in range(poset.size)
-    ]
-
-
-def chain_poset(n: int) -> FinitePoset:
-    return FinitePoset(n, [[i <= j for j in range(n)] for i in range(n)])
+    return QuotientPoset(c, classes, poset, top)

@@ -234,6 +234,27 @@ def disjoint_union(a: Structure, b: Structure) -> Structure:
     return Structure(a.signature, a.size + b.size, rels)
 
 
+def _merge_projection(n: int, pairs) -> list[int]:
+    """Projection of 0..n-1 onto the classes of the equivalence relation
+    generated by `pairs`, classes numbered in order of their least element."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            # the root of a class is its least element
+            parent[max(rx, ry)] = min(rx, ry)
+    reps = sorted({find(x) for x in range(n)})
+    index = {r: i for i, r in enumerate(reps)}
+    return [index[find(x)] for x in range(n)]
+
+
 def pushout(f: Morphism, g: Morphism):
     """Pushout of the span f: c -> a, g: c -> b.
 
@@ -245,33 +266,14 @@ def pushout(f: Morphism, g: Morphism):
     a, b, c = f.codomain, g.codomain, f.domain
     _check_same_signature(a, b)
 
-    n = a.size + b.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for x in range(c.size):
-        union(f.map[x], a.size + g.map[x])
-
-    reps = sorted({find(x) for x in range(n)})
-    index = {r: i for i, r in enumerate(reps)}
-    proj = [index[find(x)] for x in range(n)]
-
+    proj = _merge_projection(
+        a.size + b.size, ((f.map[x], a.size + g.map[x]) for x in range(c.size)))
     rels = tuple(
         frozenset(tuple(proj[x] for x in t) for t in ra)
         | frozenset(tuple(proj[x + a.size] for x in t) for t in rb)
         for ra, rb in zip(a.relations, b.relations)
     )
-    p = Structure(a.signature, len(reps), rels)
+    p = Structure(a.signature, len(set(proj)), rels)
     into_a = Morphism.build(a, p, tuple(proj[:a.size]))
     into_b = Morphism.build(b, p, tuple(proj[a.size:]))
     return p, into_a, into_b

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 
 from .errors import InvariantViolationError
 from .homsearch import hom_count, iter_hom_maps
 from .quotposet import (
     Partition,
+    check_partition_cap,
     collapse_structure,
-    quotient_poset,
     set_partitions,
 )
 from .sigstruct import (
@@ -138,24 +138,28 @@ class KernelDecomposition:
 def _realized_quotients(c: Structure, a: Structure):
     """E_SM quotient classes of c whose codomain admits a relation-reflecting
     injection into a: kernel partition plus the pulled-back relations.  These
-    are exactly the classes that can carry generic elements of hom(c, a)."""
+    are exactly the classes that can carry generic elements of hom(c, a).
+
+    Every h in hom(c, a) factors as its kernel collapse followed by the
+    injection of the blocks onto im h; a class is realized iff it is
+    (ker h, the relations of a pulled back along that injection) for some h.
+    """
     rows = {}
-    for partition in set_partitions(c.size):
-        b = len(partition)
-        if b > a.size:
-            continue
-        image, proj = collapse_structure(c, partition)
-        for emb in permutations(range(a.size), b):
-            rels = tuple(
-                frozenset(
-                    t
-                    for t in product(range(b), repeat=arity)
-                    if tuple(emb[x] for x in t) in a.relations[sym_idx]
-                )
-                for sym_idx, (_, arity) in enumerate(c.signature.symbols)
-            )
-            if all(img <= rel for img, rel in zip(image.relations, rels)):
-                rows[(partition, rels)] = Structure(c.signature, b, rels)
+    for h in iter_hom_maps(c, a):
+        blocks: dict[int, list[int]] = {}
+        for x, y in enumerate(h):
+            blocks.setdefault(y, []).append(x)
+        # blocks were opened in order of their least element
+        partition = tuple(tuple(block) for block in blocks.values())
+        index = {y: i for i, y in enumerate(blocks)}
+        rels = tuple(
+            frozenset(tuple(index[y] for y in t) for t in rel
+                      if all(y in index for y in t))
+            for rel in a.relations
+        )
+        key = (partition, rels)
+        if key not in rows:
+            rows[key] = Structure(c.signature, len(partition), rels)
     return rows
 
 
@@ -170,25 +174,23 @@ def kernel_decomposition(c: Structure, a: Structure,
     raises rather than reporting a best-effort table.
     """
     if system is SE_M:
-        poset = quotient_poset(c, system)
-        rows = tuple(
-            DecompositionRow(
-                e.partition,
-                e.codomain,
-                _generic_count_cached(e.codomain, a, system),
-            )
-            for e in poset.elements
-        )
+        check_partition_cap(c.size)
+        classes = [(partition, collapse_structure(c, partition)[0])
+                   for partition in set_partitions(c.size)]
     else:
-        rows = tuple(
-            DecompositionRow(partition, codomain,
-                             _generic_count_cached(codomain, a, system))
+        classes = [
+            (partition, codomain)
             for (partition, _), codomain in sorted(
                 _realized_quotients(c, a).items(),
                 key=lambda kv: (len(kv[0][0]), kv[0][0],
                                 tuple(tuple(sorted(r)) for r in kv[0][1])),
             )
-        )
+        ]
+    rows = tuple(
+        DecompositionRow(partition, codomain,
+                         _generic_count_cached(codomain, a, system))
+        for partition, codomain in classes
+    )
     total = sum(r.generic for r in rows)
     homs = hom_count(c, a)
     if total != homs:

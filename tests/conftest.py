@@ -5,21 +5,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
+from homcount.selftest import complete_sym, cycle_sym, no_relation
 from homcount.sigstruct import GRAPH_SIGNATURE, Structure
-
-
-def cycle_sym(n):
-    """Symmetric n-cycle (both arc directions per edge)."""
-    arcs = set()
-    for i in range(n):
-        arcs.add((i, (i + 1) % n))
-        arcs.add(((i + 1) % n, i))
-    return Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
-
-
-def complete_sym(n):
-    arcs = {(i, j) for i in range(n) for j in range(n) if i != j}
-    return Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
 
 
 def path_sym(n):
@@ -28,10 +15,6 @@ def path_sym(n):
         arcs.add((i, i + 1))
         arcs.add((i + 1, i))
     return Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
-
-
-def no_relation(n):
-    return Structure.build(GRAPH_SIGNATURE, n, {})
 
 
 def digraph(n, arcs):

@@ -6,7 +6,7 @@ the pruned search paths it is used to check.
 
 import itertools
 
-from homcount.sigstruct import E_SM, SE_M, MorphismClass
+from homcount.sigstruct import E_SM, SE_M, MorphismClass, Structure
 
 
 def all_maps(c, a):
@@ -148,3 +148,24 @@ def partitions_of_set(n):
 
 def naive_stirling(n, m):
     return sum(1 for p in partitions_of_set(n) if len(p) == m)
+
+
+def naive_realized_quotients(c, a):
+    """E_SM quotient classes of c realized in a, by definition: a kernel
+    partition and an injection of its blocks into a that carries the
+    collapsed relations of c into a; the class's relations are a's pulled
+    back along the injection.  Keyed like stirling._realized_quotients."""
+    out = {}
+    for blocks in partitions_of_set(c.size):
+        part = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        block_of = {x: i for i, b in enumerate(part) for x in b}
+        image = [{tuple(block_of[x] for x in t) for t in rel} for rel in c.relations]
+        for emb in itertools.permutations(range(a.size), len(part)):
+            rels = tuple(
+                frozenset(t for t in itertools.product(range(len(part)), repeat=arity)
+                          if tuple(emb[x] for x in t) in rel)
+                for (_, arity), rel in zip(c.signature.symbols, a.relations)
+            )
+            if all(img <= rel for img, rel in zip(image, rels)):
+                out[(part, rels)] = Structure(c.signature, len(part), rels)
+    return out

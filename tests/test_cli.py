@@ -130,6 +130,16 @@ def test_distinguish_cap_exit_3(files, capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_distinguish_bad_cap_names_the_variable_exit_2(files, capsys, monkeypatch):
+    monkeypatch.setenv("HOMCOUNT_CAP", "ten")
+    a = files("c6.struct", C6_TEXT)
+    b = files("2c3.struct", TWO_C3_TEXT)
+    code, out, err = invoke(["distinguish", "--budget", "4", a, b], capsys)
+    assert code == 2
+    assert out == ""
+    assert "HOMCOUNT_CAP" in err and "'ten'" in err
+
+
 def test_iso(files, capsys):
     a = files("c6.struct", C6_TEXT)
     b = files("2c3.struct", TWO_C3_TEXT)

@@ -19,8 +19,13 @@ from homcount.sigstruct import (
     disjoint_union,
     embedding_class,
 )
-from homcount.stirling import generic_count, kernel_decomposition
-from oracles import brute_isomorphic, brute_treewidth, naive_count
+from homcount.stirling import _realized_quotients, generic_count, kernel_decomposition
+from oracles import (
+    brute_isomorphic,
+    brute_treewidth,
+    naive_count,
+    naive_realized_quotients,
+)
 
 MIXED = Signature((("U", 1), ("T", 3)))
 
@@ -95,6 +100,13 @@ def test_kernel_decomposition_mixed_signature():
             for system in (SE_M, E_SM):
                 dec = kernel_decomposition(c, a, system)
                 assert dec.total == dec.homcount
+
+
+def test_realized_quotients_mixed_signature():
+    structures = family(149, per_size=4)
+    for c in structures:
+        for a in structures:
+            assert _realized_quotients(c, a) == naive_realized_quotients(c, a), (c, a)
 
 
 def test_distinguish_with_ternary_witness():

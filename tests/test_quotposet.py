@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,19 +6,17 @@ from hypothesis import strategies as st
 
 from conftest import digraph, no_relation
 from homcount.errors import CapExceededError
+from homcount.lovasz import embeddings_via_mobius, mobius_invert_ints
 from homcount.quotposet import (
     FinitePoset,
-    IncidenceFunction,
-    chain_poset,
     collapse_structure,
-    forward_sum,
-    mobius,
-    mobius_invert,
+    partition_mobius,
     partition_refines,
     quotient_poset,
     set_partitions,
 )
-from homcount.sigstruct import E_SM, SE_M, MorphismClass
+from homcount.sigstruct import E_SM, SE_M, MorphismClass, validate_morphism
+from homcount.stirling import kernel_decomposition
 from oracles import naive_count, partitions_of_set
 
 
@@ -64,24 +61,35 @@ def test_quotient_poset_of_3_element_no_relation():
 
 
 def test_quotient_poset_of_single_arc():
-    q = quotient_poset(digraph(2, {(0, 1)}), SE_M)
+    c = digraph(2, {(0, 1)})
+    q = quotient_poset(c)
     assert len(q) == 2
     collapse = q.index_of_partition(((0, 1),))
-    assert q.elements[collapse].codomain.relation("E") == frozenset({(0, 0)})
-    assert MorphismClass.QUOTIENT in q.elements[collapse].representative.class_tags
+    quotient = q.elements[collapse].codomain
+    assert quotient.relation("E") == frozenset({(0, 0)})
+    _, proj = collapse_structure(c, ((0, 1),))
+    assert validate_morphism(proj, c, quotient, MorphismClass.QUOTIENT, SE_M)
 
 
 def test_quotient_poset_representatives_are_quotients_in_both_systems():
+    # The projection onto each class's codomain is a quotient in both systems.
     c = digraph(3, {(0, 1), (1, 2)})
-    for system in (SE_M, E_SM):
-        q = quotient_poset(c, system)
-        for e in q.elements:
-            assert MorphismClass.QUOTIENT in e.representative.class_tags
+    q = quotient_poset(c)
+    for e in q.elements:
+        quotient, proj = collapse_structure(c, e.partition)
+        assert quotient == e.codomain
+        for system in (SE_M, E_SM):
+            assert validate_morphism(proj, c, quotient, MorphismClass.QUOTIENT, system)
 
 
 def test_quotient_poset_cap():
-    with pytest.raises(CapExceededError):
-        quotient_poset(no_relation(9))
+    # Every SE_M path that enumerates partitions refuses the same sizes.
+    c = no_relation(9)
+    for run in (lambda: quotient_poset(c),
+                lambda: embeddings_via_mobius(c, no_relation(9), SE_M),
+                lambda: kernel_decomposition(c, no_relation(2), SE_M)):
+        with pytest.raises(CapExceededError, match="partition enumeration cap 8"):
+            run()
 
 
 def test_collapse_structure_images():
@@ -92,77 +100,62 @@ def test_collapse_structure_images():
     assert m.relation("E") == frozenset({(0, 1), (1, 0)})
 
 
+def chain(n):
+    return FinitePoset(n, [[i <= j for j in range(n)] for i in range(n)])
+
+
 def test_mobius_reflexive_and_chain():
-    p = chain_poset(4)
-    assert mobius(p, 2, 2) == 1
-    assert mobius(p, 1, 2) == -1
-    assert mobius(p, 0, 2) == 0
+    p = chain(4)
+    assert p.mobius(2, 2) == 1
+    assert p.mobius(1, 2) == -1
+    assert p.mobius(0, 2) == 0
 
 
 def test_mobius_domain_error():
-    p = chain_poset(3)
+    p = chain(3)
     with pytest.raises(ValueError):
-        mobius(p, 2, 0)
+        p.mobius(2, 0)
 
 
 def test_mobius_of_partition_lattice_of_3_set():
     # mu(bottom, top) of the partition lattice of a 3-set is 2.
     q = quotient_poset(no_relation(3))
     bottom = q.index_of_partition(((0, 1, 2),))
-    assert mobius(q.poset, bottom, q.top) == 2
+    assert q.poset.mobius(bottom, q.top) == 2
+
+
+def test_partition_mobius_matches_the_quotient_poset():
+    # The closed form agrees with the recursion on the poset for every class.
+    for n in range(6):
+        q = quotient_poset(no_relation(n))
+        for i, e in enumerate(q.elements):
+            assert partition_mobius(e.partition) == q.poset.mobius(i, q.top)
 
 
 def test_convolution_identity_mu_zeta_is_delta():
-    posets = [chain_poset(5), quotient_poset(no_relation(4)).poset,
+    posets = [chain(5), quotient_poset(no_relation(4)).poset,
               quotient_poset(digraph(3, {(0, 1)})).poset]
     for p in posets:
         for x in range(p.size):
-            for y in range(p.size):
-                if not p.leq(x, y):
-                    continue
-                total = sum(p.mobius(x, z) * p.zeta(z, y)
-                            for z in range(p.size)
-                            if p.leq(x, z) and p.leq(z, y))
-                assert total == p.delta(x, y)
-
-
-def test_incidence_function_rejects_incomparable_support():
-    p = quotient_poset(no_relation(3)).poset
-    incomparable = [
-        (x, y) for x in range(p.size) for y in range(p.size) if not p.leq(x, y)
-    ]
-    with pytest.raises(ValueError):
-        IncidenceFunction(p, {incomparable[0]: 1})
+            for y in p.up_set(x):
+                total = sum(p.mobius(x, z) for z in p.up_set(x) if p.leq(z, y))
+                assert total == (1 if x == y else 0)
 
 
 def test_mobius_is_two_sided_convolution_inverse_of_zeta():
-    posets = [chain_poset(4), quotient_poset(no_relation(4)).poset,
+    posets = [chain(4), quotient_poset(no_relation(4)).poset,
               quotient_poset(digraph(3, {(0, 1), (1, 2)})).poset]
     for p in posets:
-        zeta = IncidenceFunction.zeta(p)
-        mu = IncidenceFunction.mobius(p)
-        delta = IncidenceFunction.delta(p)
-        assert mu.convolve(zeta) == delta
-        assert zeta.convolve(mu) == delta
-
-
-def test_convolution_is_associative_spot_check():
-    rng = random.Random(37)
-    p = quotient_poset(no_relation(3)).poset
-    def rand_fn():
-        return IncidenceFunction(
-            p,
-            {(x, y): rng.randint(-3, 3)
-             for x in range(p.size) for y in range(p.size) if p.leq(x, y)},
-        )
-    for _ in range(5):
-        f, g, h = rand_fn(), rand_fn(), rand_fn()
-        assert f.convolve(g).convolve(h) == f.convolve(g.convolve(h))
+        for x in range(p.size):
+            for y in p.up_set(x):
+                interval = [z for z in p.up_set(x) if p.leq(z, y)]
+                delta = 1 if x == y else 0
+                assert sum(p.mobius(x, z) for z in interval) == delta
+                assert sum(p.mobius(z, y) for z in interval) == delta
 
 
 def test_mobius_invert_zero():
-    p = chain_poset(4)
-    assert mobius_invert(p, [0, 0, 0, 0]) == [0, 0, 0, 0]
+    assert mobius_invert_ints(chain(4), [0, 0, 0, 0]) == [0, 0, 0, 0]
 
 
 def test_mobius_invert_two_element_quotient_poset(point):
@@ -173,7 +166,7 @@ def test_mobius_invert_two_element_quotient_poset(point):
     q = quotient_poset(c)
     f1 = [naive_count(e.codomain, a) for e in q.elements]
     assert sorted(f1) == [3, 9]
-    f2 = mobius_invert(q.poset, f1)
+    f2 = mobius_invert_ints(q.poset, f1)
     assert f2[q.top] == 6
 
 
@@ -193,12 +186,17 @@ def random_poset(rng, n):
     return FinitePoset(n, leq)
 
 
+def forward_sum(p, f2):
+    """f1(y) = sum_{x<=y} f2(x), the inverse of Moebius inversion."""
+    return [sum(f2[x] for x in range(p.size) if p.leq(x, y)) for y in range(p.size)]
+
+
 def test_mobius_invert_round_trip_on_random_posets():
     rng = random.Random(31)
     for _ in range(30):
         p = random_poset(rng, rng.randint(1, 7))
-        f1 = [Fraction(rng.randint(-9, 9)) for _ in range(p.size)]
-        f2 = mobius_invert(p, f1)
+        f1 = [rng.randint(-9, 9) for _ in range(p.size)]
+        f2 = mobius_invert_ints(p, f1)
         assert forward_sum(p, f2) == f1
 
 
@@ -208,5 +206,5 @@ def test_mobius_round_trip_property(seed, n):
     rng = random.Random(seed)
     p = random_poset(rng, n)
     f1 = [rng.randint(-50, 50) for _ in range(n)]
-    f2 = mobius_invert(p, f1)
-    assert forward_sum(p, f2) == [Fraction(v) for v in f1]
+    f2 = mobius_invert_ints(p, f1)
+    assert forward_sum(p, f2) == f1

@@ -4,12 +4,18 @@ from conftest import complete_sym, cycle_sym, digraph, no_relation
 from homcount.homsearch import count_morphisms, hom_count
 from homcount.sigstruct import E_SM, SE_M, embedding_class
 from homcount.stirling import (
+    _realized_quotients,
     generic_count,
     is_generic,
     kernel_decomposition,
     stirling_number,
 )
-from oracles import naive_count, naive_morphisms, naive_stirling
+from oracles import (
+    naive_count,
+    naive_morphisms,
+    naive_realized_quotients,
+    naive_stirling,
+)
 
 
 def random_digraph(rng, n, p=0.35):
@@ -148,6 +154,17 @@ def test_kernel_decomposition_total_matches_homcount_both_systems():
             for system in (SE_M, E_SM):
                 dec = kernel_decomposition(c, a, system)
                 assert dec.total == dec.homcount == naive_count(c, a)
+
+
+def test_realized_quotients_match_the_definition():
+    # Classes read off hom(c, a) equal the partitions-times-injections
+    # definition, codomains included.
+    rng = random.Random(53)
+    family = [random_digraph(rng, n, 0.4) for n in (0, 1, 2, 3, 4) for _ in range(4)]
+    family += [no_relation(3), complete_sym(3), digraph(1, {(0, 0)})]
+    for c in family:
+        for a in family:
+            assert _realized_quotients(c, a) == naive_realized_quotients(c, a), (c, a)
 
 
 def test_kernel_decomposition_esm_rows_expand_codomains(point, loop_point):
