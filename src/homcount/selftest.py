@@ -23,7 +23,7 @@ from .cklogic import (
     treewidth,
     wl_equivalent,
 )
-from .homsearch import count_morphisms, hom_count
+from .homsearch import count_morphisms, hom_count, iter_hom_maps
 from .lovasz import (
     LEFT,
     RIGHT,
@@ -408,8 +408,7 @@ def criterion_8_quasi_pullbacks(level: str) -> tuple[bool, str]:
     from .sigstruct import pushout
 
     def all_homs(c, a):
-        return [m.map for m in
-                count_morphisms(c, a, enumerate_witnesses=True).witnesses]
+        return list(iter_hom_maps(c, a))
 
     squares = 0
     checks = 0
@@ -434,8 +433,7 @@ def criterion_8_quasi_pullbacks(level: str) -> tuple[bool, str]:
                                 exts = {
                                     (tuple(z[la.map[i]] for i in range(a.size)),
                                      tuple(z[lb.map[j]] for j in range(b.size)))
-                                    for z in (m.map for m in count_morphisms(
-                                        p, t, enumerate_witnesses=True).witnesses)
+                                    for z in iter_hom_maps(p, t)
                                 }
                                 for x in all_homs(a, t):
                                     xf = tuple(x[fm[i]] for i in range(c.size))

@@ -209,11 +209,21 @@ class Morphism:
         f = tuple(f)
         if not validate_morphism(f, domain, codomain, MorphismClass.HOM):
             raise ValueError(f"{f} is not a homomorphism")
+        # The class predicates of validate_morphism, sharing one pass each.
+        image = len(set(f))
+        injective = image == domain.size
+        surjective = image == codomain.size
+        reflects = (injective or (surjective and system is SE_M)) and \
+            reflects_relations(f, domain, codomain)
         tags = {MorphismClass.HOM}
-        for cls in (MorphismClass.MONO, MorphismClass.STRONG_MONO,
-                    MorphismClass.SURJECTION, MorphismClass.QUOTIENT):
-            if validate_morphism(f, domain, codomain, cls, system):
-                tags.add(cls)
+        if injective:
+            tags.add(MorphismClass.MONO)
+            if reflects:
+                tags.add(MorphismClass.STRONG_MONO)
+        if surjective:
+            tags.add(MorphismClass.SURJECTION)
+            if system is E_SM or reflects:
+                tags.add(MorphismClass.QUOTIENT)
         return Morphism(domain, codomain, f, frozenset(tags))
 
     def __call__(self, x: int) -> int:

@@ -96,6 +96,16 @@ def test_count_with_witness_limit(files, capsys):
     assert "truncated" not in out
 
 
+def test_count_long_path_into_k2(files, capsys):
+    arcs = " ".join(f"({i},{i + 1}) ({i + 1},{i})" for i in range(1999))
+    c = files("path2000.struct",
+              f"signature E/2\nstructure path size 2000\nE: {arcs}\nend\n")
+    a = files("k2.struct", "signature E/2\nstructure k2 size 2\nE: (0,1) (1,0)\nend\n")
+    code, out, _ = invoke(["count", c, a], capsys)
+    assert code == 0
+    assert out == "2\n"
+
+
 def test_count_signature_mismatch_exit_2(files, capsys):
     c = files("arc.struct", ARC_TEXT)
     other = files("other.struct", "signature R/2\nstructure x size 1\nend\n")

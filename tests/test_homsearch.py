@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_sym, cycle_sym, digraph, no_relation
+from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
-from homcount.homsearch import count_morphisms, hom_count
+from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
 from homcount.sigstruct import (
     E_SM,
     SE_M,
@@ -22,9 +22,18 @@ from oracles import naive_count, naive_morphisms
 CLS = MorphismClass
 
 
+MIXED = Signature((("U", 1), ("T", 3)))
+
+
 def random_digraph(rng, n, p=0.4):
     arcs = {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
     return digraph(n, arcs)
+
+
+def random_mixed(rng, n, p_u=0.5, p_t=0.15):
+    u = {(i,) for i in range(n) if rng.random() < p_u}
+    t = {t3 for t3 in itertools.product(range(n), repeat=3) if rng.random() < p_t}
+    return Structure.build(MIXED, n, {"U": u, "T": t})
 
 
 def test_free_point_count(point):
@@ -168,3 +177,45 @@ def test_empty_source_and_target():
     assert hom_count(pt, empty) == 0
     assert count_morphisms(empty, pt, CLS.SURJECTION).count == 0
     assert count_morphisms(empty, empty, CLS.SURJECTION).count == 1
+
+
+def _listing_families():
+    rng = random.Random(29)
+    binary = [random_digraph(rng, n) for n in (1, 2, 3) for _ in range(4)]
+    binary += [no_relation(0), digraph(1, {(0, 0)}), cycle_sym(3)]
+    mixed = [random_mixed(rng, n) for n in (1, 2, 3) for _ in range(4)]
+    mixed += [Structure.build(MIXED, 0, {}),
+              Structure.build(MIXED, 2, {"U": {(0,)}, "T": {(0, 0, 1), (1, 1, 1)}})]
+    return binary, mixed
+
+
+def test_listing_is_complete_and_in_plan_order():
+    # Both listing paths give each map once, in lexicographic order of its
+    # values along the plan's variable order (the order `count --limit` prints).
+    for structures in _listing_families():
+        for c in structures:
+            order = _search_plan(c).order
+            for a in structures:
+                homs = list(iter_hom_maps(c, a))
+                for cls in CLS:
+                    for system in (SE_M, E_SM):
+                        expected = set(naive_morphisms(c, a, cls, system))
+                        listed = [m.map for m in count_morphisms(
+                            c, a, cls, system, enumerate_witnesses=True).witnesses]
+                        filtered = [f for f in homs
+                                    if validate_morphism(f, c, a, cls, system)]
+                        for maps in (listed, filtered):
+                            assert len(maps) == len(set(maps)) == len(expected)
+                            assert set(maps) == expected
+                            keys = [tuple(f[x] for x in order) for f in maps]
+                            assert keys == sorted(keys), (c, a, cls, system)
+
+
+def test_long_path_into_k2():
+    # 2,000 pattern elements: far deeper than Python's recursion limit.
+    path = path_sym(2000)
+    k2 = complete_sym(2)
+    assert hom_count(path, k2) == 2
+    maps = list(iter_hom_maps(path, k2))
+    assert len(maps) == 2
+    assert {f[:2] for f in maps} == {(0, 1), (1, 0)}
