@@ -310,15 +310,16 @@ def _cmd_mobius(args) -> int:
     q = quotient_poset(c)
     for i, e in enumerate(q.elements):
         print(f"element\t{i}\t{_partition_text(e.partition)}")
-    for i in range(len(q)):
-        for j in q.poset.up_set(i):
-            # cover: the interval [i, j] holds nothing but its endpoints
-            if i != j and len(set(q.poset.up_set(i)) & set(q.poset.down_set(j))) == 2:
+    up_sets = [q.poset.up_set(i) for i in range(len(q))]
+    blocks = [len(e.partition) for e in q.elements]
+    for i, up in enumerate(up_sets):
+        for j in up:
+            # the poset is graded by block count: j covers i iff it has one more
+            if blocks[j] == blocks[i] + 1:
                 print(f"hasse\t{i}\t{j}")
-    for i in range(len(q)):
-        for j in range(len(q)):
-            if q.poset.leq(i, j):
-                print(f"mobius\t{i}\t{j}\t{q.poset.mobius(i, j)}")
+    for i, up in enumerate(up_sets):
+        for j in up:
+            print(f"mobius\t{i}\t{j}\t{q.poset.mobius(i, j)}")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from .errors import CapExceededError
 from .homsearch import count_morphisms, hom_count
 from .quotposet import (
     FinitePoset,
+    block_labels,
     check_partition_cap,
     collapse_structure,
     partition_mobius,
@@ -177,31 +178,34 @@ def embeddings_via_mobius(c: Structure, a: Structure,
 
     keys = sorted(realized.keys(), key=total_order)
     index = {k: i for i, k in enumerate(keys)}
-
-    def leq(x_key, y_key):
-        (p1, r1), (p2, r2) = x_key, y_key
-        block_of_1 = {}
-        for bi, block in enumerate(p1):
-            for el in block:
-                block_of_1[el] = bi
-        coarsen = []
-        for block in p2:
-            targets = {block_of_1[el] for el in block}
-            if len(targets) != 1:
-                return False
-            coarsen.append(targets.pop())
-        return all(
-            tuple(coarsen[x] for x in t) in rel1
-            for rel2, rel1 in zip(r2, r1)
-            for t in rel2
-        )
-
-    n = len(keys)
-    matrix = [[leq(keys[i], keys[j]) for j in range(n)] for i in range(n)]
-    poset = FinitePoset(n, matrix)
+    poset = FinitePoset(len(keys), _factorisation_up_sets(keys, c.size))
     f1 = [hom_count(realized[k], a) for k in keys]
     f2 = mobius_invert_ints(poset, f1)
     return f2[index[top_key]]
+
+
+def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
+    """Up-sets of the E_SM quotient classes keyed (kernel partition of
+    0..n-1, relations): x <= y when y's partition refines x's and y's
+    relations, pushed along the merge of y's blocks into x's, lie in x's."""
+    by_partition: dict[tuple, list[int]] = {}
+    for i, (partition, _) in enumerate(keys):
+        by_partition.setdefault(partition, []).append(i)
+    up_sets: list[list[int]] = [[] for _ in keys]
+    for coarse, lower in by_partition.items():
+        labels = block_labels(coarse, n)
+        for fine, upper in by_partition.items():
+            if len(fine) < len(coarse):
+                continue
+            merge = tuple(labels[block[0]] for block in fine)
+            if any(labels[x] != merge[bi] for bi, block in enumerate(fine) for x in block):
+                continue
+            for j in upper:
+                images = [{tuple(merge[x] for x in t) for t in rel} for rel in keys[j][1]]
+                for i in lower:
+                    if all(img <= rel for img, rel in zip(images, keys[i][1])):
+                        up_sets[i].append(j)
+    return up_sets
 
 
 def mobius_invert_ints(poset: FinitePoset, f1) -> list[int]:

@@ -32,41 +32,51 @@ def check_partition_cap(size: int) -> None:
         )
 
 
-def set_partitions(n: int):
-    """All partitions of 0..n-1 via restricted growth strings, duplicate-free.
-
-    Blocks are sorted internally and by least element.
-    """
+def _growth_strings(n: int):
+    """Restricted growth strings of length n in lexicographic order: s[x] is
+    the block of element x, and each new block is numbered one above the
+    largest before it."""
     if n == 0:
         yield ()
         return
     rgs = [0] * n
 
-    def emit():
-        blocks: dict[int, list[int]] = {}
-        for i, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(i)
-        yield tuple(tuple(blocks[b]) for b in sorted(blocks))
-
     def grow(i: int, maxval: int):
         if i == n:
-            yield from emit()
+            yield tuple(rgs)
             return
         for b in range(maxval + 2):
             rgs[i] = b
             yield from grow(i + 1, max(maxval, b))
 
-    rgs[0] = 0
     yield from grow(1, 0)
 
 
-def partition_refines(p: Partition, q: Partition, n: int) -> bool:
-    """Every block of p lies inside a block of q."""
-    block_of_q = [0] * n
-    for bi, block in enumerate(q):
+def _blocks(labels) -> Partition:
+    """The partition that puts x in block labels[x] (a growth string)."""
+    blocks: list[list[int]] = []
+    for x, b in enumerate(labels):
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(x)
+    return tuple(map(tuple, blocks))
+
+
+def set_partitions(n: int):
+    """All partitions of 0..n-1 via restricted growth strings, duplicate-free.
+
+    Blocks are sorted internally and by least element.
+    """
+    return map(_blocks, _growth_strings(n))
+
+
+def block_labels(partition: Partition, n: int) -> tuple[int, ...]:
+    """The block index of each element 0..n-1."""
+    labels = [0] * n
+    for bi, block in enumerate(partition):
         for x in block:
-            block_of_q[x] = bi
-    return all(len({block_of_q[x] for x in block}) == 1 for block in p)
+            labels[x] = bi
+    return tuple(labels)
 
 
 def partition_mobius(partition: Partition) -> int:
@@ -83,25 +93,25 @@ def partition_mobius(partition: Partition) -> int:
 def collapse_structure(c: Structure, partition: Partition) -> tuple[Structure, tuple[int, ...]]:
     """Quotient of c by the partition: blocks become elements (ordered by
     least member), relations are images.  Returns (structure, projection)."""
-    proj = [0] * c.size
-    for bi, block in enumerate(partition):
-        for x in block:
-            proj[x] = bi
+    proj = block_labels(partition, c.size)
     rels = tuple(
         frozenset(tuple(proj[x] for x in t) for t in rel) for rel in c.relations
     )
-    return Structure(c.signature, len(partition), rels), tuple(proj)
+    return Structure(c.signature, len(partition), rels), proj
 
 
 class FinitePoset:
-    """A finite poset over elements 0..n-1 given by a leq predicate matrix."""
+    """A finite poset over elements 0..n-1 given by its up-sets: up_sets[i]
+    holds every j with i <= j."""
 
-    def __init__(self, size: int, leq_matrix):
+    def __init__(self, size: int, up_sets):
         self.size = size
-        self._up = [frozenset(j for j in range(size) if leq_matrix[i][j])
-                    for i in range(size)]
-        self._down = [frozenset(i for i in range(size) if leq_matrix[i][j])
-                      for j in range(size)]
+        self._up = [frozenset(up) for up in up_sets]
+        down: list[list[int]] = [[] for _ in range(size)]
+        for i, up in enumerate(self._up):
+            for j in up:
+                down[j].append(i)
+        self._down = [frozenset(d) for d in down]
         self._mobius: dict[tuple[int, int], int] = {}
         for i in range(size):
             if i not in self._up[i]:
@@ -177,13 +187,21 @@ def quotient_poset(c: Structure) -> QuotientPoset:
     the poset is the same for both; the identity class is the top element.
     """
     check_partition_cap(c.size)
+    labels = list(_growth_strings(c.size))
+    index = {s: i for i, s in enumerate(labels)}
+    # The partitions coarser than p are p's blocks merged by each partition of
+    # p's block numbers; composing growth strings gives the merged one.
+    merges: dict[int, list[tuple[int, ...]]] = {}
+    up_sets: list[list[int]] = [[] for _ in labels]
+    for j, s in enumerate(labels):
+        k = max(s, default=-1) + 1
+        if k not in merges:
+            merges[k] = list(_growth_strings(k))
+        for m in merges[k]:
+            up_sets[index[tuple([m[b] for b in s])]].append(j)
     classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
-                    for partition in set_partitions(c.size))
-    n = len(classes)
-    leq = [[partition_refines(classes[j].partition, classes[i].partition, c.size)
-            for j in range(n)] for i in range(n)]
-    # leq[i][j] as built means "j's kernel refines i's kernel" = i <= j
-    poset = FinitePoset(n, leq)
+                    for partition in map(_blocks, labels))
+    poset = FinitePoset(len(classes), up_sets)
     top = poset.top()
     assert top is not None and len(classes[top].partition) == c.size
     return QuotientPoset(c, classes, poset, top)

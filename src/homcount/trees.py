@@ -39,15 +39,21 @@ class FiniteTree:
             p = self.parent[v]
             if p != -1 and not 0 <= p < self.size:
                 raise ValueError(f"parent of {v} out of range")
-        # acyclicity: every node must reach the root
+        # acyclicity: every node must reach the root.  Each walk stops at the
+        # first node already known to reach it, so every link is followed once.
+        reaches = [False] * self.size
+        on_walk = [False] * self.size
         for v in range(self.size):
-            seen = set()
+            walk = []
             x = v
-            while x != -1:
-                if x in seen:
+            while x != -1 and not reaches[x]:
+                if on_walk[x]:
                     raise ValueError("parent links contain a cycle")
-                seen.add(x)
+                on_walk[x] = True
+                walk.append(x)
                 x = self.parent[x]
+            for x in walk:
+                reaches[x] = True
 
     @property
     def root(self) -> int | None:
@@ -116,29 +122,30 @@ def is_tree_morphism(f, r: FiniteTree, p: FiniteTree) -> bool:
 
 
 def count_tree_morphisms(r: FiniteTree, p: FiniteTree) -> int:
-    """Downward dynamic program: a node mapped to x sends each child to some
-    child of x, independently."""
+    """Dynamic program from the leaves up: a node mapped to x sends each
+    child to some child of x, independently.  ways[u][x] counts the maps of
+    u's subtree with u mapped to x, for every x at u's depth in p."""
     if r.size == 0:
         return 1
     if p.size == 0:
         return 0
     r_children = r.children()
     p_children = p.children()
+    r_depth = r.depths()
+    p_level: dict[int, list[int]] = {}
+    for x, d in enumerate(p.depths()):
+        p_level.setdefault(d, []).append(x)
 
-    memo: dict[tuple[int, int], int] = {}
-
-    def ways(u: int, x: int) -> int:
-        key = (u, x)
-        if key not in memo:
-            total = 1
-            for cu in r_children[u]:
-                total *= sum(ways(cu, cx) for cx in p_children[x])
-                if total == 0:
-                    break
-            memo[key] = total
-        return memo[key]
-
-    return ways(r.root, p.root)
+    ways: dict[int, dict[int, int]] = {}
+    for u in reversed(r._topological()):
+        here = dict.fromkeys(p_level.get(r_depth[u], ()), 1)
+        for cu in r_children[u]:
+            below = ways.pop(cu)
+            for x, total in here.items():
+                if total:
+                    here[x] = total * sum(below[cx] for cx in p_children[x])
+        ways[u] = here
+    return ways[r.root][p.root]
 
 
 def enumerate_tree_morphisms(r: FiniteTree, p: FiniteTree) -> list[TreeMorphism]:
@@ -212,25 +219,22 @@ def tree_encoding(t: FiniteTree):
     if t.size == 0:
         return None
     children = t.children()
-
-    def enc(v):
-        return tuple(sorted(enc(c) for c in children[v]))
-
-    return enc(t.root)
+    codes: list = [None] * t.size
+    for v in reversed(t._topological()):
+        codes[v] = tuple(sorted(codes[c] for c in children[v]))
+    return codes[t.root]
 
 
 def tree_from_encoding(code) -> FiniteTree:
-    parents = []
-
-    def build(node_code, parent):
-        parents.append(parent)
-        me = len(parents) - 1
-        for sub in node_code:
-            build(sub, me)
-
     if code is None:
         return FiniteTree(0, ())
-    build(code, -1)
+    parents = []
+    stack = [(code, -1)]
+    while stack:
+        node_code, parent = stack.pop()
+        parents.append(parent)
+        me = len(parents) - 1
+        stack.extend((sub, me) for sub in reversed(node_code))
     return FiniteTree(len(parents), tuple(parents))
 
 

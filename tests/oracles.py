@@ -169,3 +169,34 @@ def naive_realized_quotients(c, a):
             if all(img <= rel for img, rel in zip(image, rels)):
                 out[(part, rels)] = Structure(c.signature, len(part), rels)
     return out
+
+
+def partition_refines(p, q, n):
+    """Every block of p lies inside a block of q."""
+    block_of_q = [0] * n
+    for bi, block in enumerate(q):
+        for x in block:
+            block_of_q[x] = bi
+    return all(len({block_of_q[x] for x in block}) == 1 for block in p)
+
+
+def quotient_class_leq(x_key, y_key):
+    """The order on E_SM quotient classes keyed (kernel partition, relations),
+    tested pair by pair: x <= y when y's partition refines x's and y's
+    relations, sent along the merge of y's blocks into x's, lie in x's."""
+    (p1, r1), (p2, r2) = x_key, y_key
+    block_of_1 = {}
+    for bi, block in enumerate(p1):
+        for el in block:
+            block_of_1[el] = bi
+    coarsen = []
+    for block in p2:
+        targets = {block_of_1[el] for el in block}
+        if len(targets) != 1:
+            return False
+        coarsen.append(targets.pop())
+    return all(
+        tuple(coarsen[x] for x in t) in rel1
+        for rel2, rel1 in zip(r2, r1)
+        for t in rel2
+    )

@@ -240,6 +240,14 @@ def test_trees_count(files, capsys):
     assert out == "1\n"
 
 
+def test_trees_count_deep_chain(files, capsys):
+    parents = " ".join(["-"] + [str(v) for v in range(600)])
+    chain = files("chain.tree", f"tree chain size 601 parents {parents} end\n")
+    code, out, _ = invoke(["trees", "count", chain, chain], capsys)
+    assert code == 0
+    assert out == "1\n"
+
+
 def test_trees_distinguish(files, capsys):
     p = files("chain.tree", TREES_TEXT)
     q = files("cherry.tree", CHERRY_TEXT)

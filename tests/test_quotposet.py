@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,18 +7,30 @@ from hypothesis import strategies as st
 
 from conftest import digraph, no_relation
 from homcount.errors import CapExceededError
-from homcount.lovasz import embeddings_via_mobius, mobius_invert_ints
+from homcount.lovasz import _factorisation_up_sets, embeddings_via_mobius, mobius_invert_ints
 from homcount.quotposet import (
+    PARTITION_SIZE_CAP,
     FinitePoset,
     collapse_structure,
     partition_mobius,
-    partition_refines,
     quotient_poset,
     set_partitions,
 )
-from homcount.sigstruct import E_SM, SE_M, MorphismClass, validate_morphism
-from homcount.stirling import kernel_decomposition
-from oracles import naive_count, partitions_of_set
+from homcount.sigstruct import (
+    E_SM,
+    SE_M,
+    MorphismClass,
+    Signature,
+    Structure,
+    validate_morphism,
+)
+from homcount.stirling import _realized_quotients, kernel_decomposition
+from oracles import (
+    naive_count,
+    partition_refines,
+    partitions_of_set,
+    quotient_class_leq,
+)
 
 
 def bell(n):
@@ -37,15 +50,6 @@ def test_set_partitions_blocks_are_canonical():
             assert list(block) == sorted(block)
         mins = [block[0] for block in p]
         assert mins == sorted(mins)
-
-
-def test_partition_refines():
-    fine = ((0,), (1,), (2,))
-    mid = ((0, 1), (2,))
-    coarse = ((0, 1, 2),)
-    assert partition_refines(fine, mid, 3)
-    assert partition_refines(mid, coarse, 3)
-    assert not partition_refines(coarse, mid, 3)
 
 
 def test_quotient_poset_singleton():
@@ -82,6 +86,58 @@ def test_quotient_poset_representatives_are_quotients_in_both_systems():
             assert validate_morphism(proj, c, quotient, MorphismClass.QUOTIENT, system)
 
 
+def random_structure(rng, signature, n, p):
+    return Structure(signature, n, tuple(
+        frozenset(t for t in itertools.product(range(n), repeat=arity) if rng.random() < p)
+        for _, arity in signature.symbols))
+
+
+def test_quotient_poset_order_is_refinement():
+    # Classes in set_partitions order with collapsed codomains, the identity
+    # class on top, and i <= j exactly when j's kernel refines i's.
+    rng = random.Random(17)
+    sources = [no_relation(n) for n in range(7)]
+    sources += [digraph(n, {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.3})
+                for n in range(1, 7) for _ in range(2)]
+    for c in sources:
+        q = quotient_poset(c)
+        parts = [e.partition for e in q.elements]
+        assert parts == list(set_partitions(c.size))
+        assert sorted(parts) == sorted(tuple(map(tuple, p)) for p in partitions_of_set(c.size))
+        assert all(e.codomain == collapse_structure(c, e.partition)[0] for e in q.elements)
+        assert parts[q.top] == tuple((x,) for x in range(c.size))
+        for i, p in enumerate(parts):
+            assert q.poset.up_set(i) == [j for j, r in enumerate(parts)
+                                         if partition_refines(r, p, c.size)]
+            assert q.poset.down_set(i) == [j for j, r in enumerate(parts)
+                                           if partition_refines(p, r, c.size)]
+
+
+def test_quotient_poset_at_the_cap():
+    q = quotient_poset(no_relation(PARTITION_SIZE_CAP))
+    assert len(q) == 4140
+    for i in list(range(0, len(q), 97)) + [len(q) - 1]:
+        assert partition_mobius(q.elements[i].partition) == q.poset.mobius(i, q.top)
+
+
+def test_factorisation_up_sets_match_the_pairwise_order():
+    # The E_SM classes that embeddings_via_mobius inverts over, ordered by
+    # grouped refinement tests, against the pairwise definition.
+    rng = random.Random(23)
+    for signature, p_rel in ((Signature((("E", 2),)), 0.35),
+                             (Signature((("E", 2), ("R", 3))), 0.1)):
+        for _ in range(12):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            c = random_structure(rng, signature, n, p_rel)
+            a = random_structure(rng, signature, m, 2 * p_rel)
+            top = (tuple((x,) for x in range(n)), c.relations)
+            keys = list({**_realized_quotients(c, a), top: c})
+            rng.shuffle(keys)
+            got = [sorted(up) for up in _factorisation_up_sets(keys, n)]
+            assert got == [[j for j, y in enumerate(keys) if quotient_class_leq(x, y)]
+                           for x in keys], (c, a)
+
+
 def test_quotient_poset_cap():
     # Every SE_M path that enumerates partitions refuses the same sizes.
     c = no_relation(9)
@@ -101,7 +157,16 @@ def test_collapse_structure_images():
 
 
 def chain(n):
-    return FinitePoset(n, [[i <= j for j in range(n)] for i in range(n)])
+    return FinitePoset(n, [range(i, n) for i in range(n)])
+
+
+def test_finite_poset_rejects_non_orders():
+    with pytest.raises(ValueError, match="reflexive"):
+        FinitePoset(2, [{0, 1}, set()])
+    with pytest.raises(ValueError, match="antisymmetric"):
+        FinitePoset(2, [{0, 1}, {0, 1}])
+    with pytest.raises(ValueError, match="transitive"):
+        FinitePoset(3, [{0, 1}, {1, 2}, {2}])
 
 
 def test_mobius_reflexive_and_chain():
@@ -183,7 +248,7 @@ def random_poset(rng, n):
             extra |= above[j]
         above[i] |= extra
     leq = [[i == j or j in above[i] for j in range(n)] for i in range(n)]
-    return FinitePoset(n, leq)
+    return FinitePoset(n, [{j for j in range(n) if leq[i][j]} for i in range(n)])
 
 
 def forward_sum(p, f2):

@@ -6,6 +6,7 @@ from homcount.errors import CapExceededError
 from homcount.lovasz import DISTINGUISHED, PROFILES_EQUAL
 from homcount.trees import (
     FiniteTree,
+    TRUNCATION_NODE_CAP,
     RationalTreeSpec,
     TreeMorphism,
     chain_tree,
@@ -54,6 +55,8 @@ def test_tree_validation():
         FiniteTree(2, (-1, -1))  # two roots
     with pytest.raises(ValueError):
         FiniteTree(2, (1, 0))  # cycle
+    with pytest.raises(ValueError, match="cycle"):
+        FiniteTree(4, (-1, 0, 3, 2))
     FiniteTree(0, ())
 
 
@@ -127,6 +130,20 @@ def test_truncate_binary():
 def test_truncate_depth_zero():
     spec = RationalTreeSpec(("a", "b"), ((1, 1), (0,)), 0)
     assert truncate(spec, 0).size == 1
+
+
+def test_deep_chain_counts_and_encodes():
+    # 601 levels is deeper than the interpreter's default recursion limit
+    chain = chain_tree(601)
+    assert count_tree_morphisms(chain, chain) == 1
+    assert tree_from_encoding(tree_encoding(chain)) == chain
+
+
+def test_chain_at_the_truncation_cap():
+    chain = truncate(RationalTreeSpec(("s",), ((0,),), 0), TRUNCATION_NODE_CAP - 1)
+    assert chain.size == TRUNCATION_NODE_CAP
+    assert count_tree_morphisms(chain, chain) == 1
+    assert count_tree_morphisms(chain_tree(3), chain) == 1
 
 
 def test_truncate_cap():
