@@ -18,16 +18,9 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, SignatureMismatchError
 from .homsearch import hom_count
-from .lovasz import _structures_of_size, structure_cap
-from .sigstruct import (
-    GRAPH_SIGNATURE,
-    Signature,
-    Structure,
-    _merge_projection,
-    canonical_form,
-    canonical_representative,
-)
-from .trees import enumerate_trees
+from .lovasz import _catalogue, _catalogue_levels
+from .sigstruct import GRAPH_SIGNATURE, Signature, Structure, _merge_projection
+from .trees import _encodings_of_size, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
 
@@ -195,27 +188,25 @@ def is_valid_decomposition(a: Structure, td: TreeDecomposition) -> bool:
     return max(len(b) for b in td.bags) - 1 == td.width
 
 
-def _free_trees(n: int) -> list[list[tuple[int, int]]]:
-    """Unrooted trees on n nodes as edge lists, deduplicated canonically."""
-    seen = {}
-    for rooted in enumerate_trees(n):
-        if rooted.size != n:
-            continue
-        edges = [(rooted.parent[v], v) for v in range(n) if rooted.parent[v] != -1]
-        arcs = {(x, y) for x, y in edges} | {(y, x) for x, y in edges}
-        s = Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
-        seen.setdefault(canonical_form(s), edges)
-    return list(seen.values())
+def _tree_structures(n: int) -> tuple[Structure, ...]:
+    """Trees on n nodes as symmetric loopless structures, in catalogue
+    order, read off the n-node rooted trees."""
+    def symmetric(tree):
+        arcs = {(tree.parent[v], v) for v in range(n) if tree.parent[v] != -1}
+        return Structure.build(GRAPH_SIGNATURE, n,
+                               {"E": arcs | {(y, x) for x, y in arcs}})
+
+    return _catalogue(symmetric(tree_from_encoding(code))
+                      for code in _encodings_of_size(n))
 
 
-def _decorated_tree_structures(n: int) -> list[Structure]:
+def _decorated_tree_structures(n: int) -> tuple[Structure, ...]:
     """All connected digraphs on n nodes whose Gaifman graph is a tree: every
     tree edge carries one of {forward, backward, both}, every node may carry a
     loop."""
-    out = {}
-    for edges in _free_trees(n):
-        m = len(edges)
-        for orient in itertools.product(range(3), repeat=m):
+    def decorations(tree):
+        edges = sorted((x, y) for x, y in tree.relations[0] if x < y)
+        for orient in itertools.product(range(3), repeat=len(edges)):
             base = set()
             for (x, y), o in zip(edges, orient):
                 if o != 1:
@@ -223,22 +214,10 @@ def _decorated_tree_structures(n: int) -> list[Structure]:
                 if o != 0:
                     base.add((y, x))
             for loopbits in range(1 << n):
-                arcs = set(base)
-                for v in range(n):
-                    if loopbits >> v & 1:
-                        arcs.add((v, v))
-                s = Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
-                out.setdefault(canonical_form(s), canonical_representative(s))
-    return sorted(out.values(), key=lambda s: (-s.total_tuples(), canonical_form(s)))
+                loops = {(v, v) for v in range(n) if loopbits >> v & 1}
+                yield Structure.build(GRAPH_SIGNATURE, n, {"E": base | loops})
 
-
-def _symmetric_tree_structures(n: int) -> list[Structure]:
-    """Trees on n nodes as symmetric loopless structures."""
-    out = []
-    for edges in _free_trees(n):
-        arcs = {(x, y) for x, y in edges} | {(y, x) for x, y in edges}
-        out.append(canonical_representative(Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})))
-    return sorted(out, key=lambda s: (-s.total_tuples(), canonical_form(s)))
+    return _catalogue(s for tree in _tree_structures(n) for s in decorations(tree))
 
 
 def _is_graph_signature(sig: Signature) -> bool:
@@ -249,62 +228,30 @@ def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
                       undirected: bool = False,
                       cap: int | None = None) -> tuple[Structure, ...]:
     """All connected canonical structures with <= max_size elements and
-    tree-width < k, in the deterministic (size, tuples desc, code) order.
+    tree-width < k, in the deterministic (size, tuples desc, code) order:
+    the catalogue of `lovasz` filtered level by level.
 
     Connected test structures suffice for profile comparison because hom
     counts are multiplicative over disjoint unions.  With `undirected` the
     enumeration is restricted to symmetric loopless relations (one binary
     symbol only), which carries the same distinguishing power against
-    symmetric subjects.  For k = 2 over one binary symbol the enumeration
-    walks loop-decorated tree orientations instead of all relation subsets.
+    symmetric subjects.  For k = 2 over one binary symbol the levels come
+    from loop-decorated tree orientations instead of all relation subsets,
+    which reaches sizes whose full catalogue level is beyond the cap.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if cap is None:
-        cap = structure_cap()
     if undirected and not _is_graph_signature(signature):
         raise ValueError("the undirected preset needs exactly one binary symbol")
-
-    out: list[Structure] = []
     if k == 2 and _is_graph_signature(signature):
-        for n in range(1, max_size + 1):
-            out.extend(_symmetric_tree_structures(n) if undirected
-                       else _decorated_tree_structures(n))
-        return tuple(out)
-
-    raw = 0
-    for n in range(1, max_size + 1):
-        if undirected:
-            raw += 2 ** (n * (n - 1) // 2)
-        else:
-            raw += 2 ** sum(n ** arity for _, arity in signature.symbols)
-        if raw > cap:
-            raise CapExceededError(
-                f"enumeration through size {n} spans {raw} candidates, "
-                f"exceeding cap {cap}",
-                count=raw,
-            )
-        seen: dict[bytes, Structure] = {}
-        for s in _level_candidates(signature, n, undirected):
-            if not is_connected(s) or treewidth(s) >= k:
-                continue
-            code = canonical_form(s)
-            if code not in seen:
-                seen[code] = canonical_representative(s)
-        out.extend(sorted(seen.values(),
-                          key=lambda s: (-s.total_tuples(), canonical_form(s))))
-    return tuple(out)
-
-
-def _level_candidates(signature: Signature, n: int, undirected: bool):
-    if undirected:
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            arcs = {(x, y) for x, y in chosen} | {(y, x) for x, y in chosen}
-            yield Structure.build(signature, n, {signature.symbols[0][0]: arcs})
-        return
-    yield from _structures_of_size(signature, n)
+        tree_level = _tree_structures if undirected else _decorated_tree_structures
+        return tuple(s for n in range(1, max_size + 1) for s in tree_level(n))
+    return tuple(
+        s
+        for level in _catalogue_levels(signature, max_size, cap, undirected=undirected)
+        for s in level
+        if is_connected(s) and treewidth(s) < k
+    )
 
 
 def _initial_colors_1(s: Structure):

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 a distinguishing witness was found (the inputs
-differ), 2 usage or parse error, 3 a size/enumeration cap was exceeded.
+differ), 2 usage or parse error, 3 a size/enumeration cap was exceeded, 4 an
+internal error (a traceback on stderr, or a failed selftest).
 Output on stdout is deterministic TSV or structure blocks; diagnostics go to
 stderr.  The environment variable HOMCOUNT_CAP overrides the global
 structure-count cap.
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_DISTINGUISHED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -442,7 +444,7 @@ def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
     results = run_all(args.level)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_DISTINGUISHED
+    return EXIT_OK if all(r.passed for r in results) else EXIT_INTERNAL
 
 
 _HANDLERS = {
@@ -478,6 +480,11 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # here only: importing it costs every start-up a few ms
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -3,7 +3,8 @@ counting morphisms, at desk scale.
 
 The distinguishing engine enumerates canonical representatives of all
 structures up to a size budget in a fixed deterministic order: by size, then
-by descending relation-tuple count, then by canonical code.  Testing up to
+by descending relation-tuple count, then by canonical code.  This module owns
+that catalogue; `cklogic` reads it restricted to tree-width < k.  Testing up to
 size max(|a|, |b|) is enough to decide isomorphism: equal profiles force
 mutual embeddings via Moebius inversion, and mutual embeddings between
 finite structures force isomorphism (the injective endomorphism monoid of a
@@ -97,48 +98,79 @@ def hom_profile(a: Structure, family, side: str = RIGHT,
     return HomProfile(a, family, counts, side)
 
 
-@lru_cache(maxsize=64)
-def _structures_of_size(signature: Signature, n: int) -> tuple[Structure, ...]:
-    """Canonical representatives of all structures of size n, sorted by
-    descending tuple count then canonical code."""
-    slot_grid = [
-        list(itertools.product(range(n), repeat=arity))
-        for _, arity in signature.symbols
-    ]
+def _catalogue(structures) -> tuple[Structure, ...]:
+    """Canonical representatives of the isomorphism classes met in a stream
+    of structures, in catalogue order: descending tuple count, then
+    canonical code."""
     seen: dict[bytes, Structure] = {}
-    masks = [range(1 << len(slots)) for slots in slot_grid]
-    for assignment in itertools.product(*masks):
-        rels = tuple(
-            frozenset(slots[i] for i in range(len(slots)) if mask >> i & 1)
-            for slots, mask in zip(slot_grid, assignment)
-        )
-        s = Structure(signature, n, rels)
+    for s in structures:
         code = canonical_form(s)
         if code not in seen:
             seen[code] = canonical_representative(s)
-    return tuple(
-        sorted(seen.values(), key=lambda s: (-s.total_tuples(), canonical_form(s)))
-    )
+    return tuple(seen[code] for code in
+                 sorted(seen, key=lambda code: (-seen[code].total_tuples(), code)))
 
 
-def iter_structures(signature: Signature, max_size: int,
-                    cap: int | None = None):
-    """Lazily yield canonical structures with 1..max_size elements in the
-    deterministic order (size ascending, tuple count descending, canonical
-    code).  The cap is checked level by level, so a consumer that stops early
-    never pays for, or trips over, the larger levels."""
+def _slot_grid(signature: Signature, n: int, undirected: bool):
+    """Per symbol, the slots of a candidate relation on n elements: the
+    groups of tuples a candidate takes or leaves together.  A slot is one
+    tuple, or a pair of distinct elements in both orientations when
+    undirected (binary symbols)."""
+    if undirected:
+        pairs = [((x, y), (y, x)) for x, y in itertools.combinations(range(n), 2)]
+        return [pairs for _ in signature.symbols]
+    return [[(t,) for t in itertools.product(range(n), repeat=arity)]
+            for _, arity in signature.symbols]
+
+
+@lru_cache(maxsize=64)
+def _structures_of_size(signature: Signature, n: int, *,
+                        undirected: bool = False) -> tuple[Structure, ...]:
+    """Catalogue level n: canonical representatives of all structures of
+    size n (of the symmetric loopless ones when undirected), sorted by
+    descending tuple count then canonical code."""
+    slot_grid = _slot_grid(signature, n, undirected)
+
+    def candidates():
+        for masks in itertools.product(*(range(1 << len(slots)) for slots in slot_grid)):
+            rels = tuple(
+                frozenset(t for i, slot in enumerate(slots) if mask >> i & 1 for t in slot)
+                for slots, mask in zip(slot_grid, masks)
+            )
+            yield Structure(signature, n, rels)
+
+    return _catalogue(candidates())
+
+
+def _catalogue_levels(signature: Signature, max_size: int, cap: int | None = None,
+                      *, undirected: bool = False):
+    """Catalogue levels 1..max_size in order.  Before a level is built the
+    candidate structures through it are counted against the cap, so a
+    consumer that stops early never pays for, or trips over, the larger
+    levels."""
     if cap is None:
         cap = structure_cap()
     raw = 0
     for n in range(1, max_size + 1):
-        raw += 2 ** sum(n ** arity for _, arity in signature.symbols)
+        raw += 2 ** sum(map(len, _slot_grid(signature, n, undirected)))
         if raw > cap:
             raise CapExceededError(
                 f"enumeration through size {n} spans {raw} candidate "
                 f"structures, exceeding cap {cap}",
                 count=raw,
             )
-        yield from _structures_of_size(signature, n)
+        # the keyword only when set, so each level has one cache entry
+        yield (_structures_of_size(signature, n, undirected=True) if undirected
+               else _structures_of_size(signature, n))
+
+
+def iter_structures(signature: Signature, max_size: int,
+                    cap: int | None = None):
+    """Lazily yield canonical structures with 1..max_size elements in the
+    deterministic order (size ascending, tuple count descending, canonical
+    code), level by level under the cap."""
+    for level in _catalogue_levels(signature, max_size, cap):
+        yield from level
 
 
 def enumerate_structures(signature: Signature, max_size: int,

@@ -228,23 +228,10 @@ def criterion_4_generic_equals_embedding(level: str) -> tuple[bool, str]:
     return True, f"{checked} pair/system checks, exact"
 
 
-def _simple_graphs(max_size: int):
-    out = []
-    for n in range(1, max_size + 1):
-        seen = {}
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            arcs = {(x, y) for x, y in chosen} | {(y, x) for x, y in chosen}
-            s = Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
-            seen.setdefault(canonical_form(s), s)
-        out.extend(sorted(seen.values(), key=canonical_form))
-    return out
-
-
 def criterion_5_counting_logic_k2(level: str) -> tuple[bool, str]:
     max_size = 4 if level == "quick" else 5
-    graphs = _simple_graphs(max_size)
+    graphs = [g for n in range(1, max_size + 1)
+              for g in _structures_of_size(GRAPH_SIGNATURE, n, undirected=True)]
     trees = enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, max_size, undirected=True)
     profiles = [tuple(hom_count(t, g) for t in trees) for g in graphs]
     pairs = 0

@@ -148,32 +148,6 @@ def count_tree_morphisms(r: FiniteTree, p: FiniteTree) -> int:
     return ways[r.root][p.root]
 
 
-def enumerate_tree_morphisms(r: FiniteTree, p: FiniteTree) -> list[TreeMorphism]:
-    """All tree morphisms r -> p (desk scale; used for property checks)."""
-    if r.size == 0:
-        return [TreeMorphism(r, p, ())]
-    if p.size == 0:
-        return []
-    r_children = r.children()
-    p_children = p.children()
-    img = [0] * r.size
-    out = []
-
-    def assign(pending):
-        if not pending:
-            out.append(TreeMorphism(r, p, tuple(img)))
-            return
-        u, rest = pending[0], pending[1:]
-        for x in p_children[img[r.parent[u]]]:
-            img[u] = x
-            assign(rest)
-
-    img[r.root] = p.root
-    order = [v for v in r._topological() if v != r.root]
-    assign(order)
-    return out
-
-
 @dataclass(frozen=True)
 class RationalTreeSpec:
     """Finite presentation of a finitely branching (possibly infinite) tree:

@@ -200,3 +200,47 @@ def quotient_class_leq(x_key, y_key):
         for rel2, rel1 in zip(r2, r1)
         for t in rel2
     )
+
+
+def gaifman_connected(a):
+    """Connectivity of the Gaifman graph by repeated edge relaxation; the
+    empty structure is not connected."""
+    if a.size == 0:
+        return False
+    reached = {0}
+    edges = gaifman_edges(a)
+    grown = True
+    while grown:
+        grown = False
+        for x, y in edges:
+            if (x in reached) != (y in reached):
+                reached |= {x, y}
+                grown = True
+    return len(reached) == a.size
+
+
+def filter_first_tw_lt_k(signature, k, max_size, undirected=False):
+    """Connected structures of tree-width < k on 1..max_size elements, built
+    filter first: every candidate relation (symmetric and loopless when
+    undirected, for one binary symbol) that is connected with tree-width < k
+    is kept, then the survivors of each size are canonicalised, deduplicated
+    and sorted by descending tuple count, then canonical code."""
+    from homcount.sigstruct import canonical_form, canonical_representative
+
+    out = []
+    for n in range(1, max_size + 1):
+        if undirected:
+            grids = [[((x, y), (y, x)) for x, y in itertools.combinations(range(n), 2)]]
+        else:
+            grids = [[(t,) for t in itertools.product(range(n), repeat=arity)]
+                     for _, arity in signature.symbols]
+        seen = {}
+        for choice in itertools.product(*(itertools.product((0, 1), repeat=len(g))
+                                          for g in grids)):
+            rels = tuple(frozenset(t for slot, bit in zip(g, bits) if bit for t in slot)
+                         for g, bits in zip(grids, choice))
+            s = Structure(signature, n, rels)
+            if gaifman_connected(s) and brute_treewidth(s) < k:
+                seen.setdefault(canonical_form(s), canonical_representative(s))
+        out.extend(sorted(seen.values(), key=lambda s: (-s.total_tuples(), canonical_form(s))))
+    return tuple(out)

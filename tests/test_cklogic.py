@@ -5,6 +5,7 @@ import pytest
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.cklogic import (
+    TREEWIDTH_SIZE_CAP,
     add_identity_relation,
     ck_profile_equal,
     enumerate_tw_lt_k,
@@ -24,7 +25,7 @@ from homcount.sigstruct import (
     are_isomorphic,
     canonical_form,
 )
-from oracles import brute_treewidth
+from oracles import brute_treewidth, filter_first_tw_lt_k
 
 
 def random_digraph(rng, n, p=0.35):
@@ -83,6 +84,10 @@ def test_treewidth_cap():
         treewidth(no_relation(11))
 
 
+def test_treewidth_at_the_cap():
+    assert treewidth(cycle_sym(TREEWIDTH_SIZE_CAP)) == 2
+
+
 def test_tree_decomposition_is_valid_and_optimal():
     rng = random.Random(71)
     cases = [complete_sym(4), cycle_sym(5), path_sym(4), no_relation(3)]
@@ -129,6 +134,32 @@ def test_enumerate_tw_fast_path_matches_generic_path():
             canonical_form(s) for s in generic
         )
         assert len(set(canonical_form(s) for s in fast)) == len(fast)
+
+
+@pytest.mark.parametrize("k, budget, undirected",
+                         [(3, 4, True), (3, 5, True), (4, 5, True), (3, 3, False)])
+def test_enumerate_tw_lt_k_matches_the_filter_first_reference(k, budget, undirected):
+    # the catalogue is canonicalised before it is filtered; the reference
+    # filters the raw candidates first
+    assert (enumerate_tw_lt_k(GRAPH_SIGNATURE, k, budget, undirected)
+            == filter_first_tw_lt_k(GRAPH_SIGNATURE, k, budget, undirected))
+
+
+def test_enumerate_tw_lt_k_cap_counts_the_candidates_it_enumerates():
+    # undirected: 2^0 + 2^1 + 2^3 + 2^6 = 75 candidates through size 4
+    with pytest.raises(CapExceededError) as err:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True, cap=74)
+    assert err.value.count == 75
+    assert "through size 4" in str(err.value)
+    assert (enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True, cap=75)
+            == enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True))
+    # directed: 2^1 + 2^4 = 18 candidates through size 2
+    with pytest.raises(CapExceededError) as err:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2, cap=17)
+    assert err.value.count == 18
+    assert "through size 2" in str(err.value)
+    # a point with or without a loop, and the 7 connected 2-element digraphs
+    assert len(enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2, cap=18)) == 9
 
 
 def test_enumerate_tw_lt_k_connected_only():

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from homcount.cli import run
+import homcount.cli
+import homcount.selftest
+from homcount.cli import EXIT_INTERNAL, run
 
 C6_TEXT = """\
 signature E/2
@@ -219,6 +221,17 @@ def test_ck_hom_profile(files, capsys):
     assert "equivalent-within-budget" in out
 
 
+def test_ck_cap_exit_3(files, capsys, monkeypatch):
+    monkeypatch.setenv("HOMCOUNT_CAP", "10")
+    a = files("c6.struct", C6_TEXT)
+    b = files("2c3.struct", TWO_C3_TEXT)
+    code, out, err = invoke(["ck", "--k", "3", "--budget", "4", "--undirected", a, b],
+                            capsys)
+    assert code == 3
+    assert out == ""
+    assert "11 candidate structures, exceeding cap 10" in err
+
+
 def test_ck_wl_method(files, capsys):
     a = files("c6.struct", C6_TEXT)
     b = files("2c3.struct", TWO_C3_TEXT)
@@ -333,3 +346,23 @@ def test_selftest_quick(capsys):
     lines = [l for l in out.strip().split("\n") if l]
     assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_internal_error_exit_4_with_traceback(files, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(homcount.cli._HANDLERS, "count", broken)
+    a = files("k3.struct", K3_TEXT)
+    code, out, err = invoke(["count", a, a], capsys)
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: broken handler" in err
+
+
+def test_failed_selftest_exit_4(capsys, monkeypatch):
+    failing = (1, "always fails", lambda level: (False, "forced failure"))
+    monkeypatch.setattr(homcount.selftest, "CRITERIA", (failing,))
+    code, out, _ = invoke(["selftest", "--level", "quick"], capsys)
+    assert code == EXIT_INTERNAL
+    assert out.startswith("FAIL\tcriterion 1\talways fails\tforced failure\t")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from homcount.lovasz import (
     LEFT,
     PROFILES_EQUAL,
     RIGHT,
+    _structures_of_size,
     decide_isomorphic_by_counting,
     distinguish,
     embeddings_via_mobius,
@@ -24,6 +26,7 @@ from homcount.sigstruct import (
     canonical_form,
     embedding_class,
 )
+from oracles import brute_isomorphic
 
 
 def random_digraph(rng, n, p=0.35):
@@ -68,6 +71,21 @@ def test_enumerate_structures_deterministic_and_deduplicated():
     assert a == b
     codes = [canonical_form(s) for s in a]
     assert len(set(codes)) == len(codes)
+
+
+def test_undirected_levels_are_the_simple_graphs():
+    # simple graphs up to isomorphism on 1..5 vertices (OEIS A000088)
+    for n, classes in zip(range(1, 6), (1, 2, 4, 11, 34)):
+        level = _structures_of_size(GRAPH_SIGNATURE, n, undirected=True)
+        assert len(level) == classes
+        for g in level:
+            arcs = g.relation("E")
+            assert all(x != y and (y, x) in arcs for x, y in arcs)
+        keys = [(-g.total_tuples(), canonical_form(g)) for g in level]
+        assert keys == sorted(keys)
+        if n <= 4:
+            assert not any(brute_isomorphic(a, b)
+                           for a, b in itertools.combinations(level, 2))
 
 
 def test_enumerate_structures_cap():

@@ -5,6 +5,7 @@ import pytest
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import CapExceededError, SignatureMismatchError
 from homcount.sigstruct import (
+    CANON_SIZE_CAP,
     E_SM,
     GRAPH_SIGNATURE,
     SE_M,
@@ -269,6 +270,18 @@ def test_canonical_form_empty_structure():
 def test_canonical_form_cap():
     with pytest.raises(CapExceededError):
         canonical_form(no_relation(9))
+
+
+def test_canonical_form_at_the_cap():
+    # a directed path on 8 elements and a relabelled copy
+    n = CANON_SIZE_CAP
+    arcs = {(i, i + 1) for i in range(n - 1)}
+    perm = [3, 7, 0, 5, 1, 6, 2, 4]
+    relabelled = digraph(n, {(perm[x], perm[y]) for x, y in arcs})
+    code = canonical_form(digraph(n, arcs))
+    assert code.startswith(b"8|")
+    assert canonical_form(relabelled) == code
+    assert canonical_form(canonical_representative(relabelled)) == code
 
 
 def test_canonical_form_agrees_with_brute_force_on_size_3_pairs():
