@@ -123,23 +123,60 @@ def _slot_grid(signature: Signature, n: int, undirected: bool):
             for _, arity in signature.symbols]
 
 
+def _byte_tables(targets) -> list[list[int]]:
+    """Per byte of a mask, the table from that byte's value to the mask of
+    its bits moved to `targets` (bit i goes to bit targets[i])."""
+    tables = []
+    for lo in range(0, len(targets), 8):
+        table = [0]
+        for t in targets[lo:lo + 8]:
+            table += [m | 1 << t for m in table]
+        tables.append(table)
+    return tables
+
+
 @lru_cache(maxsize=64)
 def _structures_of_size(signature: Signature, n: int, *,
                         undirected: bool = False) -> tuple[Structure, ...]:
     """Catalogue level n: canonical representatives of all structures of
     size n (of the symmetric loopless ones when undirected), sorted by
-    descending tuple count then canonical code."""
-    slot_grid = _slot_grid(signature, n, undirected)
+    descending tuple count then canonical code.
 
-    def candidates():
-        for masks in itertools.product(*(range(1 << len(slots)) for slots in slot_grid)):
-            rels = tuple(
-                frozenset(t for i, slot in enumerate(slots) if mask >> i & 1 for t in slot)
-                for slots, mask in zip(slot_grid, masks)
-            )
-            yield Structure(signature, n, rels)
+    A candidate is a mask over the flattened slots.  The masks are scanned
+    in increasing order with one byte each of marking: an unmarked mask is
+    the least of its isomorphism class, and every image of it under an
+    element permutation is marked.  Only those least masks, one per class,
+    are built and canonicalised."""
+    slots = [(s, slot) for s, row in enumerate(_slot_grid(signature, n, undirected))
+             for slot in row]
+    index = {(s, frozenset(slot)): i for i, (s, slot) in enumerate(slots)}
+    perm_tables = [
+        _byte_tables([index[s, frozenset(tuple(perm[x] for x in t) for t in slot)]
+                      for s, slot in slots])
+        for perm in itertools.permutations(range(n))
+    ]
+    width = (len(slots) + 7) // 8
+    seen = bytearray(1 << len(slots))
+    reps = []
+    mask = seen.find(0)
+    while mask >= 0:
+        reps.append(mask)
+        parts = mask.to_bytes(width, "little")
+        for tables in perm_tables:
+            image = 0
+            for table, part in zip(tables, parts):
+                image |= table[part]
+            seen[image] = 1
+        mask = seen.find(0, mask + 1)
 
-    return _catalogue(candidates())
+    def structure(mask: int) -> Structure:
+        rels = [set() for _ in signature.symbols]
+        for i, (s, slot) in enumerate(slots):
+            if mask >> i & 1:
+                rels[s].update(slot)
+        return Structure(signature, n, tuple(map(frozenset, rels)))
+
+    return _catalogue(map(structure, reps))
 
 
 def _catalogue_levels(signature: Signature, max_size: int, cap: int | None = None,

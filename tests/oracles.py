@@ -6,6 +6,7 @@ the pruned search paths it is used to check.
 
 import itertools
 
+from homcount.lovasz import _catalogue
 from homcount.sigstruct import E_SM, SE_M, MorphismClass, Structure
 
 
@@ -219,6 +220,27 @@ def gaifman_connected(a):
     return len(reached) == a.size
 
 
+def all_candidates(signature, n, undirected=False):
+    """Every candidate structure on n elements: each relation any set of
+    tuples, or, when undirected (one binary symbol), any symmetric loopless
+    set of arcs."""
+    if undirected:
+        grids = [[((x, y), (y, x)) for x, y in itertools.combinations(range(n), 2)]]
+    else:
+        grids = [[(t,) for t in itertools.product(range(n), repeat=arity)]
+                 for _, arity in signature.symbols]
+    for choice in itertools.product(*(itertools.product((0, 1), repeat=len(g))
+                                      for g in grids)):
+        rels = tuple(frozenset(t for slot, bit in zip(g, bits) if bit for t in slot)
+                     for g, bits in zip(grids, choice))
+        yield Structure(signature, n, rels)
+
+
+def all_candidates_level(signature, n, undirected=False):
+    """Catalogue level n built by canonicalising every candidate."""
+    return _catalogue(all_candidates(signature, n, undirected))
+
+
 def filter_first_tw_lt_k(signature, k, max_size, undirected=False):
     """Connected structures of tree-width < k on 1..max_size elements, built
     filter first: every candidate relation (symmetric and loopless when
@@ -229,17 +251,8 @@ def filter_first_tw_lt_k(signature, k, max_size, undirected=False):
 
     out = []
     for n in range(1, max_size + 1):
-        if undirected:
-            grids = [[((x, y), (y, x)) for x, y in itertools.combinations(range(n), 2)]]
-        else:
-            grids = [[(t,) for t in itertools.product(range(n), repeat=arity)]
-                     for _, arity in signature.symbols]
         seen = {}
-        for choice in itertools.product(*(itertools.product((0, 1), repeat=len(g))
-                                          for g in grids)):
-            rels = tuple(frozenset(t for slot, bit in zip(g, bits) if bit for t in slot)
-                         for g, bits in zip(grids, choice))
-            s = Structure(signature, n, rels)
+        for s in all_candidates(signature, n, undirected):
             if gaifman_connected(s) and brute_treewidth(s) < k:
                 seen.setdefault(canonical_form(s), canonical_representative(s))
         out.extend(sorted(seen.values(), key=lambda s: (-s.total_tuples(), canonical_form(s))))

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation
+from homcount import lovasz
 from homcount.errors import CapExceededError
 from homcount.homsearch import count_morphisms, hom_count
 from homcount.lovasz import (
@@ -22,11 +23,12 @@ from homcount.sigstruct import (
     E_SM,
     GRAPH_SIGNATURE,
     SE_M,
+    Signature,
     are_isomorphic,
     canonical_form,
     embedding_class,
 )
-from oracles import brute_isomorphic
+from oracles import all_candidates_level, brute_isomorphic
 
 
 def random_digraph(rng, n, p=0.35):
@@ -58,11 +60,13 @@ def test_enumerate_structures_size_1():
 
 
 def test_enumerate_structures_counts():
-    # Binary relations up to isomorphism: 2, 10, 104 on 1, 2, 3 points.
+    # Binary relations up to isomorphism: 2, 10, 104, 3044 on 1..4 points
+    # (OEIS A000595).
     sizes = {}
     for s in enumerate_structures(GRAPH_SIGNATURE, 3):
         sizes[s.size] = sizes.get(s.size, 0) + 1
     assert sizes == {1: 2, 2: 10, 3: 104}
+    assert len(_structures_of_size(GRAPH_SIGNATURE, 4)) == 3044
 
 
 def test_enumerate_structures_deterministic_and_deduplicated():
@@ -74,8 +78,8 @@ def test_enumerate_structures_deterministic_and_deduplicated():
 
 
 def test_undirected_levels_are_the_simple_graphs():
-    # simple graphs up to isomorphism on 1..5 vertices (OEIS A000088)
-    for n, classes in zip(range(1, 6), (1, 2, 4, 11, 34)):
+    # simple graphs up to isomorphism on 1..6 vertices (OEIS A000088)
+    for n, classes in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):
         level = _structures_of_size(GRAPH_SIGNATURE, n, undirected=True)
         assert len(level) == classes
         for g in level:
@@ -88,10 +92,39 @@ def test_undirected_levels_are_the_simple_graphs():
                            for a, b in itertools.combinations(level, 2))
 
 
+def test_levels_match_the_all_candidates_reference(monkeypatch):
+    # Each level equals the one built by canonicalising every candidate, and
+    # only one structure per class reaches the canonicalising step.
+    fed = []
+
+    def spy(structures):
+        structures = list(structures)
+        fed.append(len(structures))
+        return catalogue(structures)
+
+    catalogue = lovasz._catalogue
+    monkeypatch.setattr(lovasz, "_catalogue", spy)
+    cases = [(GRAPH_SIGNATURE, n, False) for n in (1, 2, 3)]
+    cases += [(Signature((("U", 1), ("T", 3))), 2, False),
+              (Signature((("E", 2), ("R", 3))), 2, False)]
+    cases += [(GRAPH_SIGNATURE, n, True) for n in range(1, 6)]
+    for signature, n, undirected in cases:
+        fed.clear()
+        got = _structures_of_size.__wrapped__(signature, n, undirected=undirected)
+        assert fed == [len(got)], (signature, n, undirected)
+        assert got == all_candidates_level(signature, n, undirected), \
+            (signature, n, undirected)
+
+
 def test_enumerate_structures_cap():
     with pytest.raises(CapExceededError) as err:
         enumerate_structures(GRAPH_SIGNATURE, 6, cap=1000)
     assert err.value.count > 1000
+    # the cap counts the candidate space (2 + 16 + 512 + 65,536), not classes
+    with pytest.raises(CapExceededError) as err:
+        enumerate_structures(GRAPH_SIGNATURE, 4, cap=66065)
+    assert err.value.count == 66066
+    assert len(enumerate_structures(GRAPH_SIGNATURE, 4, cap=66066)) == 2 + 10 + 104 + 3044
 
 
 def test_embeddings_via_mobius_no_relation_sources():
