@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, SignatureMismatchError
 from .homsearch import hom_count
-from .lovasz import _catalogue, _catalogue_levels
+from .lovasz import (_catalogue, _catalogue_levels, _check_candidate_cap,
+                     structure_cap)
 from .sigstruct import GRAPH_SIGNATURE, Signature, Structure, _merge_projection
 from .trees import _encodings_of_size, tree_from_encoding
 
@@ -237,13 +238,23 @@ def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
     symbol only), which carries the same distinguishing power against
     symmetric subjects.  For k = 2 over one binary symbol the levels come
     from loop-decorated tree orientations instead of all relation subsets,
-    which reaches sizes whose full catalogue level is beyond the cap.
+    which reaches sizes whose full catalogue level is beyond the cap; the
+    candidates that walk builds through max_size (the rooted encodings per
+    undirected level, every orientation and loop set of every tree per
+    directed level) are counted against the cap before any level is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if undirected and not _is_graph_signature(signature):
         raise ValueError("the undirected preset needs exactly one binary symbol")
     if k == 2 and _is_graph_signature(signature):
+        if cap is None:
+            cap = structure_cap()
+        raw = 0
+        for n in range(1, max_size + 1):
+            raw += (len(_encodings_of_size(n)) if undirected
+                    else len(_tree_structures(n)) * 3 ** (n - 1) * 2 ** n)
+            _check_candidate_cap(n, raw, cap)
         tree_level = _tree_structures if undirected else _decorated_tree_structures
         return tuple(s for n in range(1, max_size + 1) for s in tree_level(n))
     return tuple(

@@ -179,6 +179,16 @@ def _structures_of_size(signature: Signature, n: int, *,
     return _catalogue(map(structure, reps))
 
 
+def _check_candidate_cap(n: int, raw: int, cap: int) -> None:
+    """Refuse an enumeration whose candidates through size n exceed the cap."""
+    if raw > cap:
+        raise CapExceededError(
+            f"enumeration through size {n} spans {raw} candidate "
+            f"structures, exceeding cap {cap}",
+            count=raw,
+        )
+
+
 def _catalogue_levels(signature: Signature, max_size: int, cap: int | None = None,
                       *, undirected: bool = False):
     """Catalogue levels 1..max_size in order.  Before a level is built the
@@ -190,12 +200,7 @@ def _catalogue_levels(signature: Signature, max_size: int, cap: int | None = Non
     raw = 0
     for n in range(1, max_size + 1):
         raw += 2 ** sum(map(len, _slot_grid(signature, n, undirected)))
-        if raw > cap:
-            raise CapExceededError(
-                f"enumeration through size {n} spans {raw} candidate "
-                f"structures, exceeding cap {cap}",
-                count=raw,
-            )
+        _check_candidate_cap(n, raw, cap)
         # the keyword only when set, so each level has one cache entry
         yield (_structures_of_size(signature, n, undirected=True) if undirected
                else _structures_of_size(signature, n))

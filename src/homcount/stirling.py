@@ -6,19 +6,26 @@ quotient of c, and generic otherwise.  Genericity is decided here by
 factorization tests against proper quotients, never by the embedding
 shortcut, so the generic-equals-embedding identity stays a real check.
 
-Under SE_M every quotient class is a kernel-partition collapse with image
-relations.  Under E_SM quotients are plain surjections, so a quotient class
-is a kernel partition together with a codomain that may carry extra tuples
-beyond the image; factoring through any proper quotient is equivalent to
-factoring through a proper collapse or through an identity-kernel quotient
-that adds a single tuple, which keeps the test family finite and small.
+The tests run against the coatoms of the quotient poset only, the quotients
+directly below the top.  Under SE_M every quotient class is a kernel-partition
+collapse with image relations.  A proper collapse by a partition P factors as
+the merge of any two elements x ~ y of P followed by the further collapse,
+which is a homomorphism because relations are images; so h factors through
+some proper collapse iff it factors through a two-element merge, and the
+k(k-1)/2 merges of a k-element source stand in for all B(k) - 1 proper
+collapses (B(k) the Bell number).  Under E_SM
+quotients are plain surjections, so a quotient class is a kernel partition
+together with a codomain that may carry extra tuples beyond the image; a
+proper quotient of that kind lies below a merge or below an identity-kernel
+quotient that adds a single tuple, so the merges and the single-tuple
+expansions are the whole test family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InvariantViolationError
 from .homsearch import hom_count, iter_hom_maps
@@ -33,7 +40,6 @@ from .sigstruct import (
     E_SM,
     FactorisationSystem,
     Structure,
-    is_homomorphism,
 )
 
 
@@ -54,18 +60,21 @@ def stirling_number(n: int, m: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _factorization_candidates(c: Structure, system: FactorisationSystem):
-    """Proper quotients sufficient to witness every degeneracy.
+    """The coatoms of the quotient poset of c, compiled for `is_generic`.
 
-    Collapses come first, finest first, so a non-injective h is caught by a
-    cheap two-element merge; the E_SM single-tuple expansions follow.
+    The merges of x < y in lexicographic order come first: each carries the
+    merged quotient's relations in representatives (y replaced by x,
+    duplicates removed), so a map's induced map on the quotient is checked
+    without building the quotient.  Under E_SM the single-tuple expansions
+    follow.
     """
-    collapses = []
-    for partition in set_partitions(c.size):
-        if len(partition) == c.size:
-            continue
-        quotient, proj = collapse_structure(c, partition)
-        collapses.append((partition, proj, quotient))
-    collapses.sort(key=lambda item: -len(item[0]))
+    merges = []
+    for x, y in combinations(range(c.size), 2):
+        rels = tuple(
+            tuple({tuple([x if z == y else z for z in t]) for t in rel})
+            for rel in c.relations
+        )
+        merges.append((x, y, rels))
     expansions = []
     if system is E_SM:
         for sym_idx, (_, arity) in enumerate(c.signature.symbols):
@@ -73,43 +82,43 @@ def _factorization_candidates(c: Structure, system: FactorisationSystem):
             for t in product(range(c.size), repeat=arity):
                 if t not in have:
                     expansions.append((sym_idx, t))
-    return tuple(collapses), tuple(expansions)
+    return tuple(merges), tuple(expansions)
+
+
+def _factors_through(h, a: Structure, merges, expansions) -> bool:
+    """Does h factor through one of the compiled coatoms?"""
+    for x, y, rels in merges:
+        if h[x] == h[y] and all(
+            tuple([h[z] for z in t]) in rel_a
+            for ts, rel_a in zip(rels, a.relations) for t in ts
+        ):
+            return True
+    for sym_idx, t in expansions:
+        if tuple([h[z] for z in t]) in a.relations[sym_idx]:
+            return True
+    return False
 
 
 def is_generic(h, c: Structure, a: Structure,
                system: FactorisationSystem = SE_M) -> bool:
     """Does the homomorphism h factor through no proper quotient of c?
 
-    Factorization through a collapse q holds iff h is constant on the kernel
-    blocks of q and the induced map is a homomorphism from the quotient
-    structure; factorization through a single-tuple expansion holds iff h
-    carries the added tuple into a relation of a.
+    It is enough to test the coatoms (see the module docstring).
+    Factorization through the merge of x and y holds iff h[x] == h[y] and
+    the induced map is a homomorphism from the merged quotient, i.e. every
+    merged tuple, read in representatives, maps into a; factorization
+    through a single-tuple expansion holds iff h carries the added tuple
+    into a relation of a.
     """
-    collapses, expansions = _factorization_candidates(c, system)
-    for partition, proj, quotient in collapses:
-        constant = True
-        induced = [0] * quotient.size
-        for bi, block in enumerate(partition):
-            first = h[block[0]]
-            for x in block[1:]:
-                if h[x] != first:
-                    constant = False
-                    break
-            if not constant:
-                break
-            induced[bi] = first
-        if constant and is_homomorphism(induced, quotient, a):
-            return False
-    for sym_idx, t in expansions:
-        if tuple(h[x] for x in t) in a.relations[sym_idx]:
-            return False
-    return True
+    return not _factors_through(h, a, *_factorization_candidates(c, system))
 
 
 def generic_count(c: Structure, a: Structure,
                   system: FactorisationSystem = SE_M) -> int:
     """Number of generic elements of hom(c, a), computed by definition."""
-    return sum(1 for h in iter_hom_maps(c, a) if is_generic(h, c, a, system))
+    merges, expansions = _factorization_candidates(c, system)
+    return sum(1 for h in iter_hom_maps(c, a)
+               if not _factors_through(h, a, merges, expansions))
 
 
 @lru_cache(maxsize=65536)
@@ -143,20 +152,27 @@ def _realized_quotients(c: Structure, a: Structure):
     Every h in hom(c, a) factors as its kernel collapse followed by the
     injection of the blocks onto im h; a class is realized iff it is
     (ker h, the relations of a pulled back along that injection) for some h.
+    The pull-back depends only on the ordered image (the values of h in
+    order of first occurrence), so it is computed once per image and shared
+    by every map with that image.
     """
     rows = {}
+    pulled = {}
     for h in iter_hom_maps(c, a):
         blocks: dict[int, list[int]] = {}
         for x, y in enumerate(h):
             blocks.setdefault(y, []).append(x)
         # blocks were opened in order of their least element
         partition = tuple(tuple(block) for block in blocks.values())
-        index = {y: i for i, y in enumerate(blocks)}
-        rels = tuple(
-            frozenset(tuple(index[y] for y in t) for t in rel
-                      if all(y in index for y in t))
-            for rel in a.relations
-        )
+        image = tuple(blocks)
+        rels = pulled.get(image)
+        if rels is None:
+            index = {y: i for i, y in enumerate(image)}
+            rels = pulled[image] = tuple(
+                frozenset(tuple(index[y] for y in t) for t in rel
+                          if all(y in index for y in t))
+                for rel in a.relations
+            )
         key = (partition, rels)
         if key not in rows:
             rows[key] = Structure(c.signature, len(partition), rels)

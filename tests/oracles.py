@@ -172,6 +172,29 @@ def naive_realized_quotients(c, a):
     return out
 
 
+def naive_is_generic(h, c, a, system=SE_M):
+    """h factors through no proper quotient of c, tested against every proper
+    collapse (image relations) and, under E_SM, every identity-kernel
+    quotient that adds a single tuple."""
+    for blocks in partitions_of_set(c.size):
+        if len(blocks) == c.size:
+            continue
+        if any(h[x] != h[b[0]] for b in blocks for x in b):
+            continue
+        block_of = {x: i for i, b in enumerate(blocks) for x in b}
+        induced = [h[b[0]] for b in blocks]
+        collapsed = [{tuple(block_of[x] for x in t) for t in rel} for rel in c.relations]
+        if all(tuple(induced[x] for x in t) in rel_a
+               for rel, rel_a in zip(collapsed, a.relations) for t in rel):
+            return False
+    if system is E_SM:
+        for (_, arity), rel_c, rel_a in zip(c.signature.symbols, c.relations, a.relations):
+            for t in itertools.product(range(c.size), repeat=arity):
+                if t not in rel_c and tuple(h[x] for x in t) in rel_a:
+                    return False
+    return True
+
+
 def partition_refines(p, q, n):
     """Every block of p lies inside a block of q."""
     block_of_q = [0] * n

@@ -162,6 +162,27 @@ def test_enumerate_tw_lt_k_cap_counts_the_candidates_it_enumerates():
     assert len(enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2, cap=18)) == 9
 
 
+def test_tree_walk_counts_its_candidates_against_the_cap(monkeypatch):
+    # directed k = 2 levels: free trees times 3^(edges) orientations times
+    # 2^n loop sets, i.e. 2, 12, 72, 864, 7,776, 93,312, 1,026,432
+    with pytest.raises(CapExceededError) as err:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4, cap=949)
+    assert err.value.count == 950
+    assert "through size 4 spans 950 candidate structures, exceeding cap 949" \
+        in str(err.value)
+    assert (enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4, cap=950)
+            == enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4))
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    with pytest.raises(CapExceededError) as err:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 7)
+    assert err.value.count == 1_128_470
+    # undirected levels count their rooted encodings: 37 through size 6
+    assert len(enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 6, undirected=True)) == 14
+    with pytest.raises(CapExceededError) as err:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 6, undirected=True, cap=36)
+    assert err.value.count == 37
+
+
 def test_enumerate_tw_lt_k_connected_only():
     for s in enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4):
         assert is_connected(s)

@@ -232,6 +232,16 @@ def test_ck_cap_exit_3(files, capsys, monkeypatch):
     assert "11 candidate structures, exceeding cap 10" in err
 
 
+def test_ck_k2_tree_walk_cap_exit_3(files, capsys, monkeypatch):
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    a = files("arc.struct", ARC_TEXT)
+    b = files("k3.struct", K3_TEXT)
+    code, out, err = invoke(["ck", "--k", "2", "--budget", "7", a, b], capsys)
+    assert code == 3
+    assert out == ""
+    assert "1128470 candidate structures, exceeding cap 1000000" in err
+
+
 def test_ck_wl_method(files, capsys):
     a = files("c6.struct", C6_TEXT)
     b = files("2c3.struct", TWO_C3_TEXT)

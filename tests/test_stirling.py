@@ -1,8 +1,20 @@
 import random
 
-from conftest import complete_sym, cycle_sym, digraph, no_relation
+import pytest
+
+import homcount.quotposet
+from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.homsearch import count_morphisms, hom_count
-from homcount.sigstruct import E_SM, SE_M, embedding_class
+from homcount.lovasz import _structures_of_size
+from homcount.selftest import full_acceptance
+from homcount.sigstruct import (
+    E_SM,
+    GRAPH_SIGNATURE,
+    SE_M,
+    MorphismClass,
+    Signature,
+    embedding_class,
+)
 from homcount.stirling import (
     _realized_quotients,
     generic_count,
@@ -11,7 +23,9 @@ from homcount.stirling import (
     stirling_number,
 )
 from oracles import (
+    all_maps,
     naive_count,
+    naive_is_generic,
     naive_morphisms,
     naive_realized_quotients,
     naive_stirling,
@@ -115,6 +129,43 @@ def test_generic_stable_under_embedding_precomposition():
                         for g in embeddings:
                             composite = tuple(x[g[v]] for v in range(n_small.size))
                             assert is_generic(composite, n_small, a, system)
+
+
+@pytest.mark.parametrize("signature, top", [(GRAPH_SIGNATURE, 3),
+                                             (Signature((("U", 1), ("T", 3))), 2)])
+def test_is_generic_matches_the_all_collapses_oracle(signature, top):
+    # The coatom test agrees with the test against every proper collapse on
+    # every map, homomorphism or not, of every pair: sources are all classes
+    # up to the top size, targets all smaller classes plus a fixed stratum
+    # of the top size (every class with HOMCOUNT_ACCEPTANCE_FULL=1).
+    sources = [s for n in range(1, top + 1) for s in _structures_of_size(signature, n)]
+    targets = [s for s in sources if s.size < top]
+    level = _structures_of_size(signature, top)
+    targets += level if full_acceptance() else level[::len(level) // 12]
+    checked = 0
+    for c in sources:
+        for a in targets:
+            for h in all_maps(c, a):
+                for system in (SE_M, E_SM):
+                    assert (is_generic(h, c, a, system)
+                            == naive_is_generic(h, c, a, system)), (h, c, a, system)
+                    checked += 1
+    assert checked > 50_000
+
+
+def test_genericity_above_the_partition_cap(monkeypatch):
+    # A 10-element source is past the partition cap: SE_M generic counts and
+    # E_SM kernels test coatoms and never enumerate set partitions.
+    def refuse(n):
+        raise AssertionError("set partitions enumerated")
+
+    monkeypatch.setattr(homcount.quotposet, "_growth_strings", refuse)
+    p10, c10 = path_sym(10), cycle_sym(10)
+    mono = count_morphisms(p10, c10, MorphismClass.MONO).count
+    assert generic_count(p10, c10, SE_M) == mono == 20
+    dec = kernel_decomposition(p10, c10, E_SM)
+    assert dec.total == dec.homcount == 5120
+    assert len(dec.rows) == 256
 
 
 def test_kernel_decomposition_worked_instance():
