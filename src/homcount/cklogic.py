@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapExceededError, SignatureMismatchError
 from .homsearch import hom_count
@@ -189,6 +190,7 @@ def is_valid_decomposition(a: Structure, td: TreeDecomposition) -> bool:
     return max(len(b) for b in td.bags) - 1 == td.width
 
 
+@lru_cache(maxsize=64)
 def _tree_structures(n: int) -> tuple[Structure, ...]:
     """Trees on n nodes as symmetric loopless structures, in catalogue
     order, read off the n-node rooted trees."""
@@ -201,6 +203,7 @@ def _tree_structures(n: int) -> tuple[Structure, ...]:
                       for code in _encodings_of_size(n))
 
 
+@lru_cache(maxsize=64)
 def _decorated_tree_structures(n: int) -> tuple[Structure, ...]:
     """All connected digraphs on n nodes whose Gaifman graph is a tree: every
     tree edge carries one of {forward, backward, both}, every node may carry a

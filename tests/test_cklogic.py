@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
+from homcount import cklogic, lovasz
 from homcount.cklogic import (
     TREEWIDTH_SIZE_CAP,
     add_identity_relation,
@@ -181,6 +182,19 @@ def test_tree_walk_counts_its_candidates_against_the_cap(monkeypatch):
     with pytest.raises(CapExceededError) as err:
         enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 6, undirected=True, cap=36)
     assert err.value.count == 37
+
+
+def test_tree_levels_are_built_once_per_process(monkeypatch):
+    # The k = 2 tree levels are cached like the catalogue levels, so a second
+    # walk canonicalises nothing.
+    first = enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 5)
+    calls = []
+    for module in (cklogic, lovasz):
+        real = module._catalogue
+        monkeypatch.setattr(module, "_catalogue",
+                            lambda structures, real=real: calls.append(1) or real(structures))
+    assert enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 5) == first
+    assert calls == []
 
 
 def test_enumerate_tw_lt_k_connected_only():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
+from homcount import homsearch
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
+from homcount.lovasz import decide_isomorphic_by_counting
 from homcount.sigstruct import (
     E_SM,
     SE_M,
@@ -23,6 +25,7 @@ CLS = MorphismClass
 
 
 MIXED = Signature((("U", 1), ("T", 3)))
+BINARY_TERNARY = Signature((("E", 2), ("R", 3)))
 
 
 def random_digraph(rng, n, p=0.4):
@@ -219,3 +222,92 @@ def test_long_path_into_k2():
     maps = list(iter_hom_maps(path, k2))
     assert len(maps) == 2
     assert {f[:2] for f in maps} == {(0, 1), (1, 0)}
+
+
+# The classes that count without a reflection check, which the table path
+# serves below its size rule.
+TABLE_CLASSES = ((CLS.HOM, SE_M), (CLS.MONO, SE_M), (CLS.SURJECTION, SE_M),
+                 (CLS.QUOTIENT, E_SM))
+
+
+def random_structure(rng, signature, n, p):
+    """Random tuples over n elements, each symbol with at least one tuple
+    that repeats a variable when its arity and n allow it."""
+    rels = {}
+    for name, arity in signature.symbols:
+        tuples = {t for t in itertools.product(range(n), repeat=arity)
+                  if rng.random() < p}
+        if n and arity > 1:
+            x = rng.randrange(n)
+            tuples.add((x, x) + tuple(rng.randrange(n) for _ in range(arity - 2)))
+        rels[name] = tuples
+    return Structure.build(signature, n, rels)
+
+
+def _table_pairs():
+    # (pattern, target) densities: sparse patterns into dense targets, so
+    # that the injective and surjective counts are often nonzero too
+    density = {Signature((("E", 2),)): (0.3, 0.6), MIXED: (0.03, 0.4),
+               BINARY_TERNARY: (0.03, 0.4)}
+    pairs = []
+    for signature, (p, q) in density.items():
+        rng = random.Random(f"table:{signature}")
+        for n in range(1, 6):
+            for m in range(6):
+                pairs.append((random_structure(rng, signature, n, p),
+                              random_structure(rng, signature, m, q)))
+        # above the size rule: 5^6, 6^5 and 2^13 maps
+        for n, m in ((6, 5), (5, 6), (13, 2)):
+            pairs.append((random_structure(rng, signature, n, p / 2),
+                          random_structure(rng, signature, m, q)))
+    return pairs
+
+
+def test_table_counts_match_naive_oracle():
+    below = above = 0
+    for c, a in _table_pairs():
+        if a.size ** c.size <= homsearch._TABLE_MAPS:
+            below += 1
+        else:
+            above += 1
+        for cls, system in TABLE_CLASSES:
+            got = count_morphisms(c, a, cls, system).count
+            assert got == naive_count(c, a, cls, system), (c, a, cls, system)
+    assert below and above
+
+
+def test_table_and_backtracking_paths_agree(monkeypatch):
+    pairs = _table_pairs()
+    calls = []
+    real = homsearch._table_count
+    monkeypatch.setattr(homsearch, "_table_count",
+                        lambda *args: calls.append(1) or real(*args))
+    counts = {}
+    for limit in (0, 10**9):
+        monkeypatch.setattr(homsearch, "_TABLE_MAPS", limit)
+        calls.clear()
+        counts[limit] = [count_morphisms(c, a, cls, system).count
+                         for c, a in pairs for cls, system in TABLE_CLASSES]
+        # empty targets take the table path even at limit 0 (0^n = 0)
+        taken = sum(len(TABLE_CLASSES) for c, a in pairs if a.size ** c.size <= limit)
+        assert len(calls) == taken
+    assert counts[0] == counts[10**9]
+    assert any(counts[0])
+
+
+def test_empty_target_builds_no_tables():
+    _search_plan.cache_clear()
+    for cls, system in TABLE_CLASSES:
+        assert count_morphisms(cycle_sym(3), no_relation(0), cls, system).count == 0
+    assert _search_plan.cache_info().currsize == 0
+
+
+def test_isomorphism_by_counting_compiles_no_plan_per_test():
+    # Every test structure is a pattern below the size rule, so only the two
+    # subjects get a record, and neither is compiled as a pattern.
+    a = digraph(3, {(0, 1), (1, 2), (2, 0), (0, 0)})
+    b = digraph(3, {(2, 0), (0, 1), (1, 2), (1, 1)})
+    _search_plan.cache_clear()
+    assert decide_isomorphic_by_counting(a, b)
+    assert _search_plan.cache_info().currsize == 2
+    assert _search_plan(a)._order is None and _search_plan(b)._steps is None
