@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
 from homcount import homsearch
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
-from homcount.lovasz import decide_isomorphic_by_counting
+from homcount.lovasz import _structures_of_size, decide_isomorphic_by_counting
+from homcount.selftest import full_acceptance
 from homcount.sigstruct import (
     E_SM,
     SE_M,
@@ -276,23 +278,142 @@ def test_table_counts_match_naive_oracle():
     assert below and above
 
 
+COUNTING_PATHS = ("_table_count", "_search_count", "_frontier_count")
+
+
+def spy_paths(monkeypatch):
+    """Wrap the three counting paths; the returned dict counts their calls."""
+    calls = dict.fromkeys(COUNTING_PATHS, 0)
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in COUNTING_PATHS:
+        monkeypatch.setattr(homsearch, name, spy(name, getattr(homsearch, name)))
+    return calls
+
+
+def force_path(monkeypatch, name):
+    """Make the selection rule choose the named path for every count."""
+    monkeypatch.setattr(homsearch, "_counter", lambda *args: getattr(homsearch, name))
+
+
 def test_table_and_backtracking_paths_agree(monkeypatch):
-    pairs = _table_pairs()
-    calls = []
-    real = homsearch._table_count
-    monkeypatch.setattr(homsearch, "_table_count",
-                        lambda *args: calls.append(1) or real(*args))
-    counts = {}
-    for limit in (0, 10**9):
-        monkeypatch.setattr(homsearch, "_TABLE_MAPS", limit)
-        calls.clear()
-        counts[limit] = [count_morphisms(c, a, cls, system).count
-                         for c, a in pairs for cls, system in TABLE_CLASSES]
-        # empty targets take the table path even at limit 0 (0^n = 0)
-        taken = sum(len(TABLE_CLASSES) for c, a in pairs if a.size ** c.size <= limit)
-        assert len(calls) == taken
-    assert counts[0] == counts[10**9]
-    assert any(counts[0])
+    # The selection forced to each path in turn gives the counts the rule
+    # gives; the frontier DP serves plain homomorphisms only, so it is forced
+    # on the HOM counts.
+    cases = [(c, a, cls, system) for c, a in _table_pairs() for cls, system in TABLE_CLASSES]
+    calls = spy_paths(monkeypatch)
+    by_rule = [count_morphisms(*case).count for case in cases]
+    # the table path takes exactly the counts over few maps
+    assert calls["_table_count"] == sum(a.size ** c.size <= homsearch._TABLE_MAPS
+                                        for c, a, _, _ in cases)
+    for name in COUNTING_PATHS:
+        force_path(monkeypatch, name)
+        calls.update(dict.fromkeys(COUNTING_PATHS, 0))
+        forced = [(case, n) for case, n in zip(cases, by_rule)
+                  if name != "_frontier_count" or case[2] is CLS.HOM]
+        assert [count_morphisms(*case).count for case, _ in forced] == [n for _, n in forced]
+        assert calls == {path: len(forced) if path == name else 0 for path in COUNTING_PATHS}
+    assert any(by_rule)
+
+
+def _frontier_pairs():
+    """(pattern, target) pairs for the frontier DP against the oracle, with
+    random targets of sizes 0 to 5: every binary catalogue class with at
+    most 4 elements (a fixed stratum of the size-4 level, against half the
+    targets, unless HOMCOUNT_ACCEPTANCE_FULL=1), every E/2,R/3 class with at
+    most 2 elements (the 2-element ones against one target each), random
+    patterns up to 5 elements whose tuples repeat variables, and their
+    disjoint unions with small classes."""
+    rng = random.Random("frontier")
+    pairs = []
+    for signature, top in ((Signature((("E", 2),)), 4), (BINARY_TERNARY, 2)):
+        targets = [random_structure(rng, signature, m, q)
+                   for m in range(6) for q in (0.3, 0.6)]
+        patterns = [s for n in range(1, top) for s in _structures_of_size(signature, n)]
+        patterns += [random_structure(rng, signature, n, p)
+                     for n in range(3, 6) for p in (0.0, 0.03, 0.06, 0.1, 0.2)]
+        patterns += [disjoint_union(rng.choice(patterns[:4]), x) for x in patterns[-15:-5]]
+        pairs += [(c, a) for c in patterns for a in targets]
+        level = _structures_of_size(signature, top)
+        if top == 2:
+            pairs += [(c, targets[i % len(targets)]) for i, c in enumerate(level)]
+        elif full_acceptance():
+            pairs += [(c, a) for c in level for a in targets]
+        else:
+            pairs += [(c, a) for c in level[::8] for a in targets[::2]]
+    return pairs
+
+
+def test_frontier_counts_match_naive_oracle(monkeypatch):
+    force_path(monkeypatch, "_frontier_count")
+    calls = spy_paths(monkeypatch)
+    pairs = _frontier_pairs()
+    for c, a in pairs:
+        assert hom_count(c, a) == naive_count(c, a), (c, a)
+    assert calls["_frontier_count"] == len(pairs)
+    # the frontier empties before the last step (isolated elements, several
+    # components), and stays empty in patterns with no tuple between two
+    # elements
+    plans = [_search_plan(c) for c, _ in pairs]
+    assert any(keep(tuple(range(10))) == () and not stays
+               for plan in plans for _, keep, stays in plan.frontier[:-1])
+    assert any(plan.walk[0] == 0 and len(plan.frontier) > 1 for plan in plans)
+
+
+def _adjacency_power_sums(a, k):
+    """(1^T A^k 1, trace A^k) by integer matrix powers of a's relation."""
+    n = a.size
+    adj = [[int((x, y) in a.relations[0]) for y in range(n)] for x in range(n)]
+    power = adj
+    for _ in range(k - 1):
+        power = [[sum(row[z] * adj[z][y] for z in range(n)) for y in range(n)]
+                 for row in power]
+    return sum(map(sum, power)), sum(power[x][x] for x in range(n))
+
+
+def test_long_path_and_cycle_into_g40(monkeypatch):
+    # Out of the search's reach: it did not finish P9 -> G(40, 0.3) in 300 s.
+    rng = random.Random(40)
+    edges = [e for e in itertools.combinations(range(40), 2) if rng.random() < 0.3]
+    g40 = digraph(40, set(edges) | {(y, x) for x, y in edges})
+    walks, closed = _adjacency_power_sums(g40, 8)
+    calls = spy_paths(monkeypatch)
+    for pattern, expected in ((path_sym(9), walks), (cycle_sym(8), closed)):
+        start = time.process_time()
+        assert hom_count(pattern, g40) == expected
+        assert time.process_time() - start < 1.0
+    assert calls["_frontier_count"] == 2
+
+
+def test_frontier_path_serves_plain_counts_only(monkeypatch):
+    calls = spy_paths(monkeypatch)
+    rng = random.Random(6)
+    target = random_digraph(rng, 6, 0.3)
+    c6 = cycle_sym(6)
+    assert count_morphisms(c6, target).count == naive_count(c6, target)
+    assert calls["_frontier_count"] == 1
+    calls["_frontier_count"] = 0
+    for cls, system in ((CLS.MONO, SE_M), (CLS.SURJECTION, SE_M),
+                        (CLS.STRONG_MONO, SE_M), (CLS.QUOTIENT, SE_M),
+                        (CLS.QUOTIENT, E_SM)):
+        count_morphisms(c6, target, cls, system)
+    count_morphisms(c6, target, enumerate_witnesses=True, limit=3)
+    count_morphisms(c6, target, enumerate_witnesses=True)
+    count_morphisms(c6, target, limit=3)
+    # wide frontiers, 2w >= |c|: C4 keeps 2 of 4 values, K4 3
+    assert [_search_plan(c).walk[0] for c in (path_sym(5), c6, cycle_sym(4))] == [1, 2, 2]
+    g9 = random_digraph(rng, 9, 0.5)  # 9^4 maps, above the table path's
+    for wide in (cycle_sym(4), complete_sym(4)):
+        assert hom_count(wide, g9) == naive_count(wide, g9)
+    # above the size rule's 10 elements
+    assert count_morphisms(path_sym(11), target).count > 0
+    assert hom_count(path_sym(2000), complete_sym(2)) == 2
+    assert calls["_frontier_count"] == 0
 
 
 def test_empty_target_builds_no_tables():
@@ -311,3 +432,4 @@ def test_isomorphism_by_counting_compiles_no_plan_per_test():
     assert decide_isomorphic_by_counting(a, b)
     assert _search_plan.cache_info().currsize == 2
     assert _search_plan(a)._order is None and _search_plan(b)._steps is None
+    assert _search_plan(a)._walk is None is _search_plan(b)._walk
