@@ -7,15 +7,26 @@ count is the last one, flagged "stabilized" when the last two levels agree.
 That flag is a truncation certificate, not a proof about the inverse limit:
 whether the full limit's hom set is captured depends on the (infinite) tower
 the chain was cut from.
+
+Groups have no search of their own.  Each group is encoded once as the
+structure whose one ternary relation M = {(x, y, xy)} is the graph of its
+multiplication, and `homsearch` counts and lists the maps that preserve M,
+which are exactly the group homomorphisms.  Two towers are compared by
+pushing each isomorphism of their top levels down the connecting maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InvariantViolationError
+from .homsearch import count_morphisms, iter_hom_maps
 from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult
+from .sigstruct import MorphismClass, Signature, Structure
+
+_GROUP_SIGNATURE = Signature((("M", 3),))
 
 
 @dataclass(frozen=True)
@@ -53,47 +64,6 @@ class FiniteGroup:
 
     def mult(self, x: int, y: int) -> int:
         return self.table[x][y]
-
-    def generating_set(self) -> tuple[int, ...]:
-        """Greedy: keep adding the first element that enlarges the generated
-        subgroup."""
-        gens: list[int] = []
-        closure = {self.identity}
-        while len(closure) < self.order:
-            nxt = next(x for x in range(self.order) if x not in closure)
-            gens.append(nxt)
-            closure = self._close(gens)
-        return tuple(gens)
-
-    def _close(self, gens) -> set[int]:
-        closure = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.table[x][g]
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        return closure
-
-    def element_words(self, gens) -> dict[int, tuple[int, ...]]:
-        """Express each element as a word (sequence of generator indices),
-        built by breadth-first closure."""
-        words = {self.identity: ()}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    y = self.table[x][g]
-                    if y not in words:
-                        words[y] = words[x] + (gi,)
-                        new.append(y)
-            frontier = new
-        if len(words) != self.order:
-            raise ValueError("given set does not generate the group")
-        return words
 
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
@@ -142,47 +112,23 @@ def is_group_hom(f, g: FiniteGroup, c: FiniteGroup) -> bool:
     )
 
 
+@lru_cache(maxsize=256)
+def _as_structure(g: FiniteGroup) -> Structure:
+    """g as a structure whose one relation is the graph M = {(x, y, xy)} of
+    its multiplication: a map of groups is a homomorphism exactly when it
+    is a homomorphism of these structures."""
+    return Structure(_GROUP_SIGNATURE, g.order, (frozenset(
+        (x, y, xy) for x, row in enumerate(g.table) for y, xy in enumerate(row)
+    ),))
+
+
 def enumerate_group_homs(g: FiniteGroup, c: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every homomorphism g -> c, by searching generator images and checking
-    the induced word map against the full tables."""
-    gens = g.generating_set()
-    if not gens:
-        return [(c.identity,) * g.order] if g.order == 1 else []
-    words = g.element_words(gens)
-    element_order = {}
-    for x in range(g.order):
-        n, y = 1, x
-        while y != g.identity:
-            y = g.table[y][x]
-            n += 1
-        element_order[x] = n
-    homs = []
-    for images in itertools.product(range(c.order), repeat=len(gens)):
-        ok = True
-        for gen, img in zip(gens, images):
-            # the image's order must divide the generator's order
-            n, y = 1, img
-            while y != c.identity:
-                y = c.table[y][img]
-                n += 1
-            if element_order[gen] % n:
-                ok = False
-                break
-        if not ok:
-            continue
-        f = [0] * g.order
-        for x, word in words.items():
-            v = c.identity
-            for gi in word:
-                v = c.table[v][images[gi]]
-            f[x] = v
-        if is_group_hom(f, g, c):
-            homs.append(tuple(f))
-    return homs
+    """Every homomorphism g -> c, listed by the structure search."""
+    return list(iter_hom_maps(_as_structure(g), _as_structure(c)))
 
 
 def count_group_homs(g: FiniteGroup, c: FiniteGroup) -> int:
-    return len(enumerate_group_homs(g, c))
+    return count_morphisms(_as_structure(g), _as_structure(c)).count
 
 
 @dataclass(frozen=True)
@@ -204,10 +150,6 @@ class Tower:
                 raise ValueError(f"connecting map {i} has wrong endpoints")
             if not hom.is_surjective():
                 raise ValueError(f"connecting map {i} is not surjective")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
 
 def continuous_hom_count(t: Tower, c: FiniteGroup) -> tuple[int, bool]:
@@ -241,7 +183,8 @@ def distinguish_towers(t1: Tower, t2: Tower, family) -> DistinguishResult:
 
 
 def has_surjection(g: FiniteGroup, c: FiniteGroup) -> bool:
-    return any(len(set(f)) == c.order for f in enumerate_group_homs(g, c))
+    return count_morphisms(_as_structure(g), _as_structure(c),
+                           MorphismClass.SURJECTION).count > 0
 
 
 def surjection_profile(t: Tower, family) -> tuple[bool, ...]:
@@ -254,35 +197,44 @@ def surjection_profile(t: Tower, family) -> tuple[bool, ...]:
 
 
 def groups_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    if g.order != h.order:
-        return False
-    return any(len(set(f)) == h.order for f in enumerate_group_homs(g, h))
+    return g.order == h.order and has_surjection(g, h)
+
+
+def _push_down(f, p1: GroupHom, p2: GroupHom) -> list[int] | None:
+    """The map f' with f'(p1(x)) = p2(f(x)), or None where that is not well
+    defined.  p1 is surjective, so f' is total when it exists."""
+    lower: list[int | None] = [None] * p1.codomain.order
+    for x, y in enumerate(f):
+        v, w = p2.map[y], lower[p1.map[x]]
+        if w is None:
+            lower[p1.map[x]] = v
+        elif w != v:
+            return None
+    return lower
 
 
 def towers_isomorphic(t1: Tower, t2: Tower) -> bool:
-    """Levelwise isomorphisms commuting with the connecting maps, found by
-    backtracking from the top level down."""
+    """Levelwise isomorphisms commuting with the connecting maps.  Each
+    isomorphism of the top levels fixes every lower level by pushing it down
+    the (surjective) connecting maps; the towers are isomorphic when some
+    push-down is well defined at every level, which with equal orders makes
+    each pushed map a bijective hom."""
     if len(t1.levels) != len(t2.levels):
         return False
     if any(a.order != b.order for a, b in zip(t1.levels, t2.levels)):
         return False
-
-    def isos(a, b):
-        return [f for f in enumerate_group_homs(a, b) if len(set(f)) == b.order]
-
-    def extend(i, prev_iso):
-        # prev_iso: iso at level i; find one at i+1 commuting with it
-        if i == t1.depth:
+    top1, top2 = t1.levels[-1], t2.levels[-1]
+    steps = list(zip(t1.connecting, t2.connecting))[::-1]
+    for f in iter_hom_maps(_as_structure(top1), _as_structure(top2)):
+        if len(set(f)) < top2.order:
+            continue
+        for p1, p2 in steps:
+            f = _push_down(f, p1, p2)
+            if f is None:
+                break
+        if f is not None:
             return True
-        p1 = t1.connecting[i].map
-        p2 = t2.connecting[i].map
-        for f in isos(t1.levels[i + 1], t2.levels[i + 1]):
-            if all(prev_iso[p1[x]] == p2[f[x]] for x in range(len(f))):
-                if extend(i + 1, f):
-                    return True
-        return False
-
-    return any(extend(0, f0) for f0 in isos(t1.levels[0], t2.levels[0]))
+    return False
 
 
 def mod_surjection(n: int, m: int) -> GroupHom:

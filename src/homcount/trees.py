@@ -187,18 +187,6 @@ def truncate(spec: RationalTreeSpec, depth: int,
     return FiniteTree(len(parents), tuple(parents))
 
 
-def tree_encoding(t: FiniteTree):
-    """Canonical rooted-tree code: recursively sorted tuples of child codes.
-    Equal encodings iff isomorphic as rooted trees."""
-    if t.size == 0:
-        return None
-    children = t.children()
-    codes: list = [None] * t.size
-    for v in reversed(t._topological()):
-        codes[v] = tuple(sorted(codes[c] for c in children[v]))
-    return codes[t.root]
-
-
 def tree_from_encoding(code) -> FiniteTree:
     if code is None:
         return FiniteTree(0, ())

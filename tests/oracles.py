@@ -135,6 +135,19 @@ def naive_group_homs(g, c):
     return homs
 
 
+def tree_encoding(t):
+    """Canonical rooted-tree code: recursively sorted tuples of child codes.
+    Equal encodings iff isomorphic as rooted trees; the code round-trips
+    through `trees.tree_from_encoding`."""
+    if t.size == 0:
+        return None
+    children = t.children()
+    codes: list = [None] * t.size
+    for v in reversed(t._topological()):
+        codes[v] = tuple(sorted(codes[c] for c in children[v]))
+    return codes[t.root]
+
+
 def partitions_of_set(n):
     """All set partitions of 0..n-1, naive recursive growth."""
     if n == 0:

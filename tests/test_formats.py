@@ -10,7 +10,8 @@ from homcount.formats import (
     write_tree,
 )
 from homcount.profinite import cyclic_group
-from homcount.trees import chain_tree, tree_encoding
+from homcount.trees import chain_tree
+from oracles import tree_encoding
 
 STRUCT_TEXT = """\
 signature E/2 R/3

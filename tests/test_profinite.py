@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,10 +15,12 @@ from homcount.profinite import (
     distinguish_towers,
     enumerate_group_homs,
     groups_isomorphic,
+    has_surjection,
     mod_surjection,
     surjection_profile,
     towers_isomorphic,
 )
+from homcount.selftest import _tower_zoo
 from oracles import naive_group_homs
 
 Z1 = cyclic_group(1)
@@ -26,6 +29,51 @@ Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 Z8 = cyclic_group(8)
 V4 = direct_product(Z2, Z2, "V4")
+
+
+def permutation_group(generators, name):
+    """The group generated by permutations of 0..n-1, elements in sorted
+    order, with (p * q)(i) = p(q(i))."""
+    elements = {tuple(range(len(generators[0])))}
+    frontier = list(elements)
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(p[i] for i in g)
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    elements = sorted(elements)
+    index = {p: i for i, p in enumerate(elements)}
+    table = tuple(tuple(index[tuple(p[i] for i in q)] for q in elements)
+                  for p in elements)
+    return FiniteGroup(len(elements), table, name)
+
+
+S3 = permutation_group([(1, 0, 2), (1, 2, 0)], "S3")
+D4 = permutation_group([(1, 2, 3, 0), (3, 2, 1, 0)], "D4")
+
+
+def relabelled(g, perm):
+    """The copy of g in which element x is called perm[x]."""
+    inv = sorted(range(g.order), key=perm.__getitem__)
+    table = tuple(tuple(perm[g.table[inv[x]][inv[y]]] for y in range(g.order))
+                  for x in range(g.order))
+    return FiniteGroup(g.order, table, g.name + "-relabelled")
+
+
+def relabelled_tower(t, rng):
+    """The copy of t with every level relabelled by a random permutation."""
+    perms = [rng.sample(range(g.order), g.order) for g in t.levels]
+    levels = tuple(relabelled(g, p) for g, p in zip(t.levels, perms))
+    connecting = []
+    for i, hom in enumerate(t.connecting):
+        upper, lower = perms[i + 1], perms[i]
+        image = [0] * len(upper)
+        for x, y in enumerate(hom.map):
+            image[upper[x]] = lower[y]
+        connecting.append(GroupHom(levels[i + 1], levels[i], tuple(image)))
+    return Tower(levels, tuple(connecting), t.name + "-relabelled")
 
 
 def z2_tower():
@@ -65,11 +113,23 @@ def test_group_hom_validation():
 
 
 def test_hom_counts_match_naive_oracle():
-    groups = [Z1, Z2, Z3, Z4, V4, direct_product(Z2, Z3)]
+    groups = [Z1, Z2, Z3, Z4, V4, direct_product(Z2, Z3), S3]
     for g in groups:
         for c in groups:
-            got = sorted(enumerate_group_homs(g, c))
-            assert got == sorted(naive_group_homs(g, c))
+            naive = naive_group_homs(g, c)
+            assert sorted(enumerate_group_homs(g, c)) == sorted(naive)
+            assert count_group_homs(g, c) == len(naive)
+            onto = any(len(set(f)) == c.order for f in naive)
+            assert has_surjection(g, c) == onto
+            assert groups_isomorphic(g, c) == (onto and g.order == c.order)
+
+
+def test_non_abelian_hom_counts():
+    # hom(S3, S3): the trivial map, 3 onto the subgroups of order 2, and the
+    # 6 automorphisms; hom(D4, D4) = 36.
+    assert (S3.order, D4.order) == (6, 8)
+    assert count_group_homs(S3, S3) == 10
+    assert count_group_homs(D4, D4) == 36
 
 
 def test_hom_count_to_trivial_group():
@@ -82,13 +142,6 @@ def test_z4_to_z2_and_back():
     assert count_group_homs(Z2, Z4) == 2
     images = {f[1] for f in enumerate_group_homs(Z2, Z4)}
     assert images == {0, 2}
-
-
-def test_generating_sets_generate():
-    for g in [Z1, Z8, V4, direct_product(Z4, Z2)]:
-        gens = g.generating_set()
-        words = g.element_words(gens)
-        assert len(words) == g.order
 
 
 def test_tower_validation_requires_surjections():
@@ -205,3 +258,22 @@ def test_eventually_constant_tower_counts_are_exact():
         count, stabilized = continuous_hom_count(t, c)
         assert stabilized
         assert count == count_group_homs(Z4, c)
+
+
+def test_towers_isomorphic_needs_a_well_defined_push_down():
+    # Equal levels Z2 <- Z4 x Z2, but the kernels differ (V4 against Z4), so
+    # no isomorphism of the tops pushes down to a map of the bottoms.
+    top = direct_product(Z4, Z2)
+    pairs = list(itertools.product(range(4), range(2)))
+    first = GroupHom(top, Z2, tuple(a % 2 for a, b in pairs))
+    second = GroupHom(top, Z2, tuple(b for a, b in pairs))
+    t1, t2 = Tower((Z2, top), (first,)), Tower((Z2, top), (second,))
+    assert not towers_isomorphic(t1, t2)
+    assert not towers_isomorphic(t2, t1)
+    assert towers_isomorphic(t1, t1)
+
+
+def test_towers_isomorphic_to_relabelled_copies():
+    rng = random.Random(5)
+    for t in _tower_zoo():
+        assert towers_isomorphic(t, relabelled_tower(t, rng)), t.name

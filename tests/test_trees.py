@@ -14,11 +14,10 @@ from homcount.trees import (
     distinguish_trees,
     enumerate_trees,
     longest_root_chain,
-    tree_encoding,
     tree_from_encoding,
     truncate,
 )
-from oracles import naive_tree_morphisms
+from oracles import naive_tree_morphisms, tree_encoding
 
 
 def full_binary(depth):
