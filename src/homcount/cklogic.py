@@ -73,17 +73,17 @@ def _fill_degree(adj, mask: int, v: int, n: int) -> int:
     return count
 
 
-def treewidth(a: Structure, cap: int = TREEWIDTH_SIZE_CAP) -> int:
+def treewidth(a: Structure) -> int:
     """Exact tree-width by dynamic programming over elimination orderings."""
-    return _treewidth_dp(a, cap)[0]
+    return _treewidth_dp(a)[0]
 
 
-def _treewidth_dp(a: Structure, cap: int) -> tuple[int, list[int]]:
+def _treewidth_dp(a: Structure) -> tuple[int, list[int]]:
     """Returns (tree-width, optimal elimination order)."""
     n = a.size
-    if n > cap:
+    if n > TREEWIDTH_SIZE_CAP:
         raise CapExceededError(
-            f"exact tree-width cap {cap} exceeded by size {n}", count=n
+            f"exact tree-width cap {TREEWIDTH_SIZE_CAP} exceeded by size {n}", count=n
         )
     if n == 0:
         return 0, []
@@ -122,9 +122,9 @@ class TreeDecomposition:
     width: int
 
 
-def tree_decomposition(a: Structure, cap: int = TREEWIDTH_SIZE_CAP) -> TreeDecomposition:
+def tree_decomposition(a: Structure) -> TreeDecomposition:
     """An optimal-width decomposition built from the DP's elimination order."""
-    width, order = _treewidth_dp(a, cap)
+    width, order = _treewidth_dp(a)
     n = a.size
     if n == 0:
         return TreeDecomposition((), (), 0)

@@ -124,25 +124,33 @@ def write_structure(name: str, s: Structure) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Tokens:
+    """The whitespace-separated tokens of a text, each with its 1-based line
+    number, taken in order by `need`; true while some are left."""
+
+    def __init__(self, text: str):
+        self.items = [(tok, lineno) for lineno, raw in enumerate(text.splitlines(), start=1)
+                      for tok in raw.split()]
+        self.i = 0
+
+    def __bool__(self):
+        return self.i < len(self.items)
+
+    def need(self, what: str) -> tuple[str, int]:
+        """The next (token, line); `what` names it if the input has ended."""
+        if self.i >= len(self.items):
+            raise ParseError(f"unexpected end of input, wanted {what}",
+                             self.items[-1][1] if self.items else 1)
+        self.i += 1
+        return self.items[self.i - 1]
+
+
 def parse_trees(text: str) -> list[tuple[str, FiniteTree]]:
     """Blocks of the form: tree NAME size N parents - 0 0 1 1 end"""
-    tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for tok in raw.split():
-            tokens.append((tok, lineno))
+    tokens = _Tokens(text)
+    need = tokens.need
     out = []
-    i = 0
-
-    def need(what):
-        nonlocal i
-        if i >= len(tokens):
-            raise ParseError(f"unexpected end of input, wanted {what}",
-                             tokens[-1][1] if tokens else 1)
-        tok = tokens[i]
-        i += 1
-        return tok
-
-    while i < len(tokens):
+    while tokens:
         tok, lineno = need("'tree'")
         if tok != "tree":
             raise ParseError(f"expected 'tree', got {tok!r}", lineno)
@@ -252,22 +260,9 @@ def parse_groups_and_towers(text: str):
     Returns (groups, towers) as ordered name dicts."""
     groups: dict[str, FiniteGroup] = {}
     towers: dict[str, Tower] = {}
-    tokens: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for tok in raw.split():
-            tokens.append((tok, lineno))
-    i = 0
-
-    def need(what):
-        nonlocal i
-        if i >= len(tokens):
-            raise ParseError(f"unexpected end of input, wanted {what}",
-                             tokens[-1][1] if tokens else 1)
-        tok = tokens[i]
-        i += 1
-        return tok
-
-    while i < len(tokens):
+    tokens = _Tokens(text)
+    need = tokens.need
+    while tokens:
         tok, lineno = need("'group' or 'tower'")
         if tok == "group":
             name, _ = need("group name")

@@ -21,16 +21,18 @@ One rule (`_counter`) chooses the path of a count with no witnesses and no
 reflection check, from the sizes and the pattern's frontier width:
 
 * The table path, when the count ranges over few maps: |a|^|c| <=
-  `_TABLE_MAPS`.  Every map c -> a is one bit of an int, the target's record
-  keeps, per pattern size, the set of maps that send each tuple of pattern
-  variables into a's relation, and the count is the popcount of the AND of
-  c's tuple sets and the class's injective or surjective set.  The pattern
-  needs no record at all.  The constant is the measured crossover of one
-  count into a fresh target (random `E/2` and `E/2,R/3` structures, 2
-  cores, Python 3.11): the table path was ahead at every measured size up
-  to 4,096 maps, even or mixed from 6,561 to 7,776 and behind from 15,625
-  on.  Counting 20 patterns into one target, it stayed ahead through 16,384
-  maps.
+  `_TABLE_MAPS`.  Every map c -> a is one bit of an int.  The bitsets that
+  depend on the sizes only (all maps, the maps with g(x) = u, the injective
+  and the surjective maps) are built once per size pair (`_map_space`); the
+  target's record keeps, per pattern size, the set of maps that send each
+  tuple of pattern variables into a's relation.  The count is the popcount
+  of the AND of c's tuple sets and the class's injective or surjective set.
+  The pattern needs no record at all.  The constant is the measured
+  crossover of one count into a fresh target (random `E/2` and `E/2,R/3`
+  structures, 2 cores, Python 3.11): the table path was ahead at every
+  measured size up to 4,096 maps, even or mixed from 6,561 to 7,776 and
+  behind from 15,625 on.  Counting 20 patterns into one target, it stayed
+  ahead through 16,384 maps.
 * The frontier DP, for larger plain homomorphism counts of patterns with
   at most `_FRONTIER_SIZE` (10) elements whose frontier stays narrow: 2w <
   |c|.  The frontier after a step is the variables assigned so far that
@@ -55,7 +57,7 @@ reflection check, from the sizes and the pattern's frontier width:
   targets.  A 9-element path into G(40, 0.3), which the search did not
   count in 300 s, takes milliseconds.
 * The search, for every other count: the injective and surjective classes,
-  `limit`, larger or wider patterns.  Witness listing, `iter_hom_maps` and
+  larger or wider patterns.  Witness listing, `iter_hom_maps` and
   the reflection classes always take it.
 
 Maps are listed in lexicographic order of their values along the search's
@@ -114,24 +116,27 @@ class _Record:
     unassigned one), is what the selection rule reads.  `frontier` is the
     DP's plan along that order: step s is ((statics, ones, manys), keep,
     stays), the tuples completed at step s as above, but each other
-    variable by its index in the frontier before step s; `keep`, the itemgetter of the frontier
-    values that stay; `stays`, whether the new variable joins the frontier.
+    variable by its index in the frontier before step s; `keep`, the
+    itemgetter of the frontier values that stay; `stays`, whether the new
+    variable joins the frontier.
     Each plan is compiled the first time a count reads it, so a structure
     used only as a target never pays for them.
 
     As a target: `table(key)`, built the first time a search or the frontier
-    DP asks for it, and `map_tables(n)`, the whole-map bitsets for patterns
-    of size n.
+    DP asks for it, and `tuple_masks[n]`, for patterns of size n, the pair
+    of `_map_space(n, |a|)` and, per symbol, the dict from a tuple of
+    pattern variables to the maps that send it into the relation, filled by
+    the table path.
     """
 
     __slots__ = ("structure", "_order", "_steps", "_walk", "_frontier", "_index",
-                 "_map_tables")
+                 "tuple_masks")
 
     def __init__(self, s: Structure):
         self.structure = s
         self._order = self._steps = self._walk = self._frontier = None
         self._index = {}
-        self._map_tables = {}
+        self.tuple_masks = {}
 
     @property
     def order(self):
@@ -218,71 +223,53 @@ class _Record:
             self._index[key] = tab
         return tab
 
-    def map_tables(self, n: int) -> _MapTables:
-        """The whole-map bitsets of this target for patterns of size n."""
-        tabs = self._map_tables.get(n)
-        if tabs is None:
-            tabs = self._map_tables[n] = _MapTables(self.structure, n)
-        return tabs
 
-
-class _MapTables:
-    """Sets of maps g: [n] -> [m] into a target a of size m >= 1, as ints of
-    m^n bits: bit sum_x g(x) m^x stands for g.
+@lru_cache(maxsize=256)
+def _map_space(n: int, m: int):
+    """The maps g: [n] -> [m], m >= 1, as ints of m^n bits, bit sum_x g(x) m^x
+    standing for g: (full, proj, injective, surjective).
 
     `proj[x][u]` holds the maps with g(x) = u: within every block of m^(x+1)
     bits, the run of m^x bits at offset u m^x, repeated by multiplying with
-    a repunit.  `tuples[sym][t]`, for a tuple t of pattern variables, holds
-    the maps that send t into a's relation sym: the OR over a's tuples u of
-    the AND of the proj[t[i]][u[i]] (a repeated variable needs no special
-    case).  The injective and surjective masks are built on first use."""
+    a repunit.  The injective mask is built only when n <= m, and the
+    surjective mask only when m <= n; otherwise no map is one, and the mask
+    is 0."""
+    full = (1 << m ** n) - 1
+    proj = []
+    for x in range(n):
+        run = m ** x
+        base = ((1 << run) - 1) * (full // ((1 << run * m) - 1))
+        proj.append(tuple(base << u * run for u in range(m)))
+    injective = surjective = 0
+    if n <= m:
+        clash = 0
+        for x, px in enumerate(proj):
+            for py in proj[x + 1:]:
+                for bx, by in zip(px, py):
+                    clash |= bx & by
+        injective = full & ~clash
+    if m <= n:
+        surjective = full
+        for column in zip(*proj):  # the maps that hit u, per u
+            hit = 0
+            for bits in column:
+                hit |= bits
+            surjective &= hit
+    return full, tuple(proj), injective, surjective
 
-    __slots__ = ("relations", "proj", "full", "tuples", "_injective", "_surjective")
 
-    def __init__(self, a: Structure, n: int):
-        m = a.size
-        self.relations = a.relations
-        self.full = full = (1 << m ** n) - 1
-        self.proj = []
-        for x in range(n):
-            run = m ** x
-            base = ((1 << run) - 1) * (full // ((1 << run * m) - 1))
-            self.proj.append([base << u * run for u in range(m)])
-        self.tuples = [{} for _ in a.relations]
-        self._injective = self._surjective = None
-
-    def tuple_mask(self, sym: int, t: tuple) -> int:
-        proj = self.proj
-        first, rest = proj[t[0]], tuple(enumerate(t))[1:]
-        mask = 0
-        for u in self.relations[sym]:
-            g = first[u[0]]
-            for i, x in rest:
-                g &= proj[x][u[i]]
-            mask |= g
-        self.tuples[sym][t] = mask
-        return mask
-
-    def injective(self) -> int:
-        if self._injective is None:
-            clash = 0
-            for x, px in enumerate(self.proj):
-                for py in self.proj[x + 1:]:
-                    for bx, by in zip(px, py):
-                        clash |= bx & by
-            self._injective = self.full & ~clash
-        return self._injective
-
-    def surjective(self) -> int:
-        if self._surjective is None:
-            mask = self.full
-            for column in zip(*self.proj):  # the maps that hit u, per u
-                hit = 0
-                for bits in column:
-                    hit |= bits
-                mask &= hit
-            self._surjective = mask
-        return self._surjective
+def _tuple_mask(proj, rel, t: tuple) -> int:
+    """The maps that send the tuple t of pattern variables into the target
+    relation rel: the OR over its tuples u of the AND of the proj[t[i]][u[i]]
+    (a repeated variable needs no special case)."""
+    first, rest = proj[t[0]], tuple(enumerate(t))[1:]
+    mask = 0
+    for u in rel:
+        g = first[u[0]]
+        for i, x in rest:
+            g &= proj[x][u[i]]
+        mask |= g
+    return mask
 
 
 def _frontier_walk(s: Structure):
@@ -384,16 +371,40 @@ def _table_count(c: Structure, a: Structure, injective: bool,
     n, m = c.size, a.size
     if m == 0 or (injective and n > m) or (surjective and m > n):
         return 0
-    tabs = _search_plan(a).map_tables(n)
-    mask = tabs.injective() if injective else tabs.surjective() if surjective else tabs.full
+    tuple_masks = _search_plan(a).tuple_masks
+    entry = tuple_masks.get(n)
+    if entry is None:
+        entry = tuple_masks[n] = (_map_space(n, m), [{} for _ in a.relations])
+    (full, proj, inj, surj), known = entry
+    mask = inj if injective else surj if surjective else full
     for sym, rel in enumerate(c.relations):
-        known = tabs.tuples[sym]
+        seen = known[sym]
         for t in rel:
-            bits = known.get(t)
-            mask &= tabs.tuple_mask(sym, t) if bits is None else bits
+            bits = seen.get(t)
+            if bits is None:
+                bits = seen[t] = _tuple_mask(proj, a.relations[sym], t)
+            mask &= bits
             if not mask:
                 return 0
     return mask.bit_count()
+
+
+def _bind(steps, a: Structure):
+    """The steps of a plan with a's tables in place of their keys: per step,
+    (the AND of its static masks, [(tuple table, address)], [(dict table,
+    getter)]).  None when some step's static tuples admit no value."""
+    table = _search_plan(a).table
+    full = (1 << a.size) - 1
+    bound = []
+    for statics, ones, manys in steps:
+        base = full
+        for key in statics:
+            base &= table(key)
+        if not base:
+            return None
+        bound.append((base, [(table(key), x) for key, x in ones],
+                      [(table(key), get) for key, get in manys]))
+    return bound
 
 
 def _frontier_count(c: Structure, a: Structure, injective: bool = False,
@@ -412,18 +423,14 @@ def _frontier_count(c: Structure, a: Structure, injective: bool = False,
         for t in rel:
             if t.count(t[0]) == len(t) and not table(sym + nsym * ((1 << len(t)) - 1)):
                 return 0
-    full = (1 << a.size) - 1
+    plan = _search_plan(c).frontier
+    bound = _bind([step for step, _, _ in plan], a)
+    if bound is None:
+        return 0
     singletons = [(u,) for u in range(a.size)]
     spread = {}  # mask -> the singletons of its values
     state = {(): 1}
-    for (statics, ones, manys), keep, stays in _search_plan(c).frontier:
-        base = full
-        for key in statics:
-            base &= table(key)
-        if not base:
-            return 0
-        ones = [(table(key), i) for key, i in ones]
-        manys = [(table(key), get) for key, get in manys]
+    for (base, ones, manys), (_, keep, stays) in zip(bound, plan):
         reached = defaultdict(int)
         for values, k in state.items():
             mask = base
@@ -461,8 +468,7 @@ def _search_count(c: Structure, a: Structure, injective: bool,
     return sum(map(int.bit_count, _last_masks(c, a, [0] * c.size, injective, surjective)))
 
 
-def _counter(c: Structure, a: Structure, injective: bool, surjective: bool,
-             limit: int | None):
+def _counter(c: Structure, a: Structure, injective: bool, surjective: bool):
     """The one rule choosing the path of a count with no witnesses and no
     reflection check (module docstring): the table path, the frontier DP
     or the search, as the function to call with (c, a, injective,
@@ -470,7 +476,7 @@ def _counter(c: Structure, a: Structure, injective: bool, surjective: bool,
     n = c.size
     if a.size ** n <= _TABLE_MAPS:
         return _table_count
-    if (injective or surjective or limit is not None or n > _FRONTIER_SIZE
+    if (injective or surjective or n > _FRONTIER_SIZE
             or 2 * _search_plan(c).walk[0] >= n):
         return _search_count
     return _frontier_count
@@ -485,19 +491,9 @@ def _last_masks(c: Structure, a: Structure, img: list[int],
     if (surjective and m > n) or (injective and n > m):
         return
     plan = _search_plan(c)
-    table = _search_plan(a).table
-    full = (1 << m) - 1
-    # per step: the static mask, (tuple table, variable) and (dict table, getter) pairs
-    base, singles, multis = [], [], []
-    for statics, ones, manys in plan.steps:
-        b = full
-        for key in statics:
-            b &= table(key)
-        if not b:  # no value fits this step's tuples on their own
-            return
-        base.append(b)
-        singles.append([(table(key), x) for key, x in ones])
-        multis.append([(table(key), get) for key, get in manys])
+    bound = _bind(plan.steps, a)
+    if bound is None:  # no value fits some step's tuples on their own
+        return
 
     order = plan.order
     last = n - 1
@@ -507,9 +503,9 @@ def _last_masks(c: Structure, a: Structure, img: list[int],
     cand = [0] * n       # values still to try at step s
     # Step 0 has no earlier variables, and the class masks do not bind yet.
     if last == 0:
-        yield base[0]
+        yield bound[0][0]
         return
-    cand[0] = base[0]
+    cand[0] = bound[0][0]
     s = 0
     while s >= 0:
         bits = cand[s]
@@ -520,10 +516,10 @@ def _last_masks(c: Structure, a: Structure, img: list[int],
         cand[s] = bits ^ low
         img[order[s]] = low.bit_length() - 1
         t = s + 1
-        mask = base[t]
-        for tab, x in singles[t]:
+        mask, ones, manys = bound[t]
+        for tab, x in ones:
             mask &= tab[img[x]]
-        for tab, get in multis[t]:
+        for tab, get in manys:
             mask &= tab.get(get(img), 0)
         if track:
             seen = taken[s]
@@ -587,7 +583,7 @@ def count_morphisms(
 
     injective, surjective, needs_reflect = _class_rules(cls, system)
     if not enumerate_witnesses and not needs_reflect and c.size > 0:
-        path = _counter(c, a, injective, surjective, limit)
+        path = _counter(c, a, injective, surjective)
         return CountResult(path(c, a, injective, surjective))
 
     count = 0

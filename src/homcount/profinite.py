@@ -62,9 +62,6 @@ class FiniteGroup:
                 return e
         return None
 
-    def mult(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
 
 def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
     table = tuple(tuple((x + y) % n for y in range(n)) for x in range(n))

@@ -171,12 +171,6 @@ class QuotientPoset:
     def __len__(self):
         return len(self.elements)
 
-    def index_of_partition(self, partition: Partition) -> int:
-        for i, e in enumerate(self.elements):
-            if e.partition == partition:
-                return i
-        raise KeyError(partition)
-
 
 def quotient_poset(c: Structure) -> QuotientPoset:
     """The partition-keyed quotient poset of c, classes in `set_partitions`

@@ -125,9 +125,6 @@ class Structure:
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.relations)
 
-    def sorted_relations(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(tuple(sorted(r)) for r in self.relations)
-
 
 def _check_same_signature(a: Structure, b: Structure):
     if a.signature != b.signature:
@@ -338,10 +335,10 @@ def _serialize(signature: Signature, size: int, sorted_rels) -> bytes:
 
 
 @lru_cache(maxsize=65536)
-def _canonical(a: Structure, cap: int):
-    if a.size > cap:
+def _canonical(a: Structure):
+    if a.size > CANON_SIZE_CAP:
         raise CapExceededError(
-            f"canonicalization limit {cap} exceeded by size {a.size}", count=a.size
+            f"canonicalization limit {CANON_SIZE_CAP} exceeded by size {a.size}", count=a.size
         )
     best = None
     for perm in _candidate_permutations(a):
@@ -356,21 +353,21 @@ def _canonical(a: Structure, cap: int):
     return best
 
 
-def canonical_form(a: Structure, cap: int = CANON_SIZE_CAP) -> bytes:
+def canonical_form(a: Structure) -> bytes:
     """Canonical code: equal codes iff isomorphic.  Brute force over
     profile-pruned permutations; intended for size <= 8."""
-    return _serialize(a.signature, a.size, _canonical(a, cap))
+    return _serialize(a.signature, a.size, _canonical(a))
 
 
-def canonical_representative(a: Structure, cap: int = CANON_SIZE_CAP) -> Structure:
+def canonical_representative(a: Structure) -> Structure:
     """The canonically relabeled copy of a (the one realising its code)."""
-    rels = tuple(frozenset(r) for r in _canonical(a, cap))
+    rels = tuple(frozenset(r) for r in _canonical(a))
     return Structure(a.signature, a.size, rels)
 
 
-def are_isomorphic(a: Structure, b: Structure, cap: int = CANON_SIZE_CAP) -> bool:
+def are_isomorphic(a: Structure, b: Structure) -> bool:
     """Decided by canonical code equality."""
     _check_same_signature(a, b)
     if a.size != b.size or a.total_tuples() != b.total_tuples():
         return False
-    return _canonical(a, cap) == _canonical(b, cap)
+    return _canonical(a) == _canonical(b)

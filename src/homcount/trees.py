@@ -88,10 +88,6 @@ class FiniteTree:
                 stack.extend(children[v])
         return order
 
-    @staticmethod
-    def from_parents(parents) -> FiniteTree:
-        return FiniteTree(len(tuple(parents)), tuple(parents))
-
 
 def chain_tree(n: int) -> FiniteTree:
     return FiniteTree(n, tuple([-1] + list(range(n - 1))) if n else ())
@@ -166,8 +162,7 @@ class RationalTreeSpec:
                     raise ValueError("child state out of range")
 
 
-def truncate(spec: RationalTreeSpec, depth: int,
-             cap: int = TRUNCATION_NODE_CAP) -> FiniteTree:
+def truncate(spec: RationalTreeSpec, depth: int) -> FiniteTree:
     """The unfolding of spec cut at the given depth (nodes at depth <= depth)."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -178,9 +173,9 @@ def truncate(spec: RationalTreeSpec, depth: int,
         for node, state in frontier:
             for child_state in spec.children[state]:
                 parents.append(node)
-                if len(parents) > cap:
+                if len(parents) > TRUNCATION_NODE_CAP:
                     raise CapExceededError(
-                        f"truncation exceeds {cap} nodes", count=len(parents)
+                        f"truncation exceeds {TRUNCATION_NODE_CAP} nodes", count=len(parents)
                     )
                 new_frontier.append((len(parents) - 1, child_state))
         frontier = new_frontier

@@ -10,10 +10,11 @@ from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
 from homcount import homsearch
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
-from homcount.lovasz import _structures_of_size, decide_isomorphic_by_counting
+from homcount.lovasz import LEFT, _structures_of_size, decide_isomorphic_by_counting, hom_profile
 from homcount.selftest import full_acceptance
 from homcount.sigstruct import (
     E_SM,
+    GRAPH_SIGNATURE,
     SE_M,
     MorphismClass,
     Signature,
@@ -262,6 +263,9 @@ def _table_pairs():
         for n, m in ((6, 5), (5, 6), (13, 2)):
             pairs.append((random_structure(rng, signature, n, p / 2),
                           random_structure(rng, signature, m, q)))
+    # a long pattern below the size rule: 1^40 maps, into a point with and
+    # without a loop
+    pairs += [(path_sym(40), digraph(1, arcs)) for arcs in (set(), {(0, 0)})]
     return pairs
 
 
@@ -404,7 +408,11 @@ def test_frontier_path_serves_plain_counts_only(monkeypatch):
         count_morphisms(c6, target, cls, system)
     count_morphisms(c6, target, enumerate_witnesses=True, limit=3)
     count_morphisms(c6, target, enumerate_witnesses=True)
-    count_morphisms(c6, target, limit=3)
+    assert calls["_frontier_count"] == 0
+    # with no witnesses to list, `limit` changes nothing: the plain count
+    assert count_morphisms(c6, target, limit=3).count == naive_count(c6, target)
+    assert calls["_frontier_count"] == 1
+    calls["_frontier_count"] = 0
     # wide frontiers, 2w >= |c|: C4 keeps 2 of 4 values, K4 3
     assert [_search_plan(c).walk[0] for c in (path_sym(5), c6, cycle_sym(4))] == [1, 2, 2]
     g9 = random_digraph(rng, 9, 0.5)  # 9^4 maps, above the table path's
@@ -414,6 +422,21 @@ def test_frontier_path_serves_plain_counts_only(monkeypatch):
     assert count_morphisms(path_sym(11), target).count > 0
     assert hom_count(path_sym(2000), complete_sym(2)) == 2
     assert calls["_frontier_count"] == 0
+
+
+def test_left_profile_builds_one_map_space_per_size_pair():
+    # hom(subject, K) over catalogue targets K: every count is a table
+    # count into a fresh target, and the size-only bitsets are shared.
+    subject = digraph(4, {(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)})
+    family = [s for n in range(1, 4) for s in _structures_of_size(GRAPH_SIGNATURE, n)]
+    assert len(family) >= 50
+    _search_plan.cache_clear()
+    homsearch._map_space.cache_clear()
+    profile = hom_profile(subject, family, LEFT)
+    # built at most once per (4, m), and read again for the other targets
+    built = homsearch._map_space.cache_info()
+    assert built.misses <= len({k.size for k in family}) < built.hits
+    assert list(profile.counts) == [naive_count(subject, k) for k in family]
 
 
 def test_empty_target_builds_no_tables():

@@ -68,7 +68,7 @@ def test_quotient_poset_of_single_arc():
     c = digraph(2, {(0, 1)})
     q = quotient_poset(c)
     assert len(q) == 2
-    collapse = q.index_of_partition(((0, 1),))
+    collapse = [e.partition for e in q.elements].index(((0, 1),))
     quotient = q.elements[collapse].codomain
     assert quotient.relation("E") == frozenset({(0, 0)})
     _, proj = collapse_structure(c, ((0, 1),))
@@ -185,7 +185,7 @@ def test_mobius_domain_error():
 def test_mobius_of_partition_lattice_of_3_set():
     # mu(bottom, top) of the partition lattice of a 3-set is 2.
     q = quotient_poset(no_relation(3))
-    bottom = q.index_of_partition(((0, 1, 2),))
+    bottom = [e.partition for e in q.elements].index(((0, 1, 2),))
     assert q.poset.mobius(bottom, q.top) == 2
 
 
