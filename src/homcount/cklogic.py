@@ -17,12 +17,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError, SignatureMismatchError
+from .errors import cap_exceeded
 from .homsearch import hom_count
 from .lovasz import (_catalogue, _catalogue_levels, _check_candidate_cap,
                      structure_cap)
-from .sigstruct import GRAPH_SIGNATURE, Signature, Structure, _merge_projection
-from .trees import _encodings_of_size, tree_from_encoding
+from .sigstruct import (GRAPH_SIGNATURE, Signature, Structure, _check_same_signature,
+                        _merge_projection)
+from .trees import _encodings_of_size, _rooted_tree_counts, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
 
@@ -82,9 +83,8 @@ def _treewidth_dp(a: Structure) -> tuple[int, list[int]]:
     """Returns (tree-width, optimal elimination order)."""
     n = a.size
     if n > TREEWIDTH_SIZE_CAP:
-        raise CapExceededError(
-            f"exact tree-width cap {TREEWIDTH_SIZE_CAP} exceeded by size {n}", count=n
-        )
+        raise cap_exceeded("TREEWIDTH_SIZE_CAP", TREEWIDTH_SIZE_CAP, "exact tree-width of",
+                           n, "elements")
     if n == 0:
         return 0, []
     adj = gaifman_adjacency(a)
@@ -150,46 +150,6 @@ def tree_decomposition(a: Structure) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(edges), max(len(b) for b in bags) - 1)
 
 
-def is_valid_decomposition(a: Structure, td: TreeDecomposition) -> bool:
-    """Element coverage, joint tuple coverage, and subtree connectivity."""
-    if a.size == 0:
-        return td.bags == ()
-    covered = set().union(*td.bags) if td.bags else set()
-    if covered != set(range(a.size)):
-        return False
-    for rel in a.relations:
-        for t in rel:
-            if not any(set(t) <= bag for bag in td.bags):
-                return False
-    adj = {i: set() for i in range(len(td.bags))}
-    for i, j in td.tree:
-        adj[i].add(j)
-        adj[j].add(i)
-    if len(td.bags) > 1:
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(td.bags):
-            return False
-    for x in range(a.size):
-        holding = set(i for i, b in enumerate(td.bags) if x in b)
-        first = min(holding)
-        seen = {first}
-        stack = [first]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j in holding and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if holding != seen:
-            return False
-    return max(len(b) for b in td.bags) - 1 == td.width
-
-
 @lru_cache(maxsize=64)
 def _tree_structures(n: int) -> tuple[Structure, ...]:
     """Trees on n nodes as symmetric loopless structures, in catalogue
@@ -229,8 +189,7 @@ def _is_graph_signature(sig: Signature) -> bool:
 
 
 def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
-                      undirected: bool = False,
-                      cap: int | None = None) -> tuple[Structure, ...]:
+                      undirected: bool = False) -> tuple[Structure, ...]:
     """All connected canonical structures with <= max_size elements and
     tree-width < k, in the deterministic (size, tuples desc, code) order:
     the catalogue of `lovasz` filtered level by level.
@@ -242,27 +201,27 @@ def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
     symmetric subjects.  For k = 2 over one binary symbol the levels come
     from loop-decorated tree orientations instead of all relation subsets,
     which reaches sizes whose full catalogue level is beyond the cap; the
-    candidates that walk builds through max_size (the rooted encodings per
-    undirected level, every orientation and loop set of every tree per
-    directed level) are counted against the cap before any level is built.
+    candidates that walk builds through max_size (the rooted trees per
+    undirected level, counted without building them, every orientation and
+    loop set of every tree per directed level) are counted against the cap
+    before any level is built.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if undirected and not _is_graph_signature(signature):
         raise ValueError("the undirected preset needs exactly one binary symbol")
     if k == 2 and _is_graph_signature(signature):
-        if cap is None:
-            cap = structure_cap()
+        cap = structure_cap()
         raw = 0
-        for n in range(1, max_size + 1):
-            raw += (len(_encodings_of_size(n)) if undirected
+        for n, rooted in zip(range(1, max_size + 1), _rooted_tree_counts()):
+            raw += (rooted if undirected
                     else len(_tree_structures(n)) * 3 ** (n - 1) * 2 ** n)
             _check_candidate_cap(n, raw, cap)
         tree_level = _tree_structures if undirected else _decorated_tree_structures
         return tuple(s for n in range(1, max_size + 1) for s in tree_level(n))
     return tuple(
         s
-        for level in _catalogue_levels(signature, max_size, cap, undirected=undirected)
+        for level in _catalogue_levels(signature, max_size, undirected=undirected)
         for s in level
         if is_connected(s) and treewidth(s) < k
     )
@@ -321,8 +280,7 @@ def _refine_d(s: Structure, colors, d: int):
 def wl_equivalent(a: Structure, b: Structure, k: int) -> bool:
     """(k-1)-dimensional Weisfeiler-Leman indistinguishability, refined jointly
     over both structures until the colour partition stabilises."""
-    if a.signature != b.signature:
-        raise SignatureMismatchError("subjects must share their signature")
+    _check_same_signature(a, b)
     if k < 2:
         raise ValueError("k must be >= 2")
     d = k - 1
@@ -368,13 +326,11 @@ def ck_equivalent_wl(a: Structure, b: Structure, k: int) -> CkVerdict:
 
 
 def ck_profile_equal(a: Structure, b: Structure, k: int, budget: int,
-                     undirected: bool = False,
-                     cap: int | None = None) -> CkVerdict:
+                     undirected: bool = False) -> CkVerdict:
     """Compare hom counts from every connected test structure of tree-width
     < k up to the size budget; first differing count wins."""
-    if a.signature != b.signature:
-        raise SignatureMismatchError("subjects must share their signature")
-    for test in enumerate_tw_lt_k(a.signature, k, budget, undirected, cap):
+    _check_same_signature(a, b)
+    for test in enumerate_tw_lt_k(a.signature, k, budget, undirected):
         na, nb = hom_count(test, a), hom_count(test, b)
         if na != nb:
             return CkVerdict(False, "hom-profile", test, (na, nb))

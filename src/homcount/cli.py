@@ -290,7 +290,7 @@ def _cmd_profile(args) -> int:
 def _cmd_distinguish(args) -> int:
     name_a, a = _first_structure(args.left_subject)
     name_b, b = _first_structure(args.right_subject)
-    res = distinguish(a, b, args.budget, args.side, _system(args.system))
+    res = distinguish(a, b, args.budget, args.side)
     if res.distinguished:
         sys.stdout.write(write_structure("witness", res.witness))
         print(f"count\t{name_a}\t{res.counts[0]}")

@@ -20,6 +20,19 @@ class CapExceededError(HomcountError):
         self.count = count
 
 
+def cap_exceeded(cap: str, limit: int, what: str, count: int,
+                 unit: str) -> CapExceededError:
+    """The one way a cap error is built: `what` reached `count` `unit`,
+    above `limit`.  `cap` names the cap: HOMCOUNT_CAP, the one a setting
+    raises, or a fixed module constant."""
+    if cap == "HOMCOUNT_CAP":
+        how = "set the environment variable HOMCOUNT_CAP to raise it"
+    else:
+        how = f"{cap} is fixed; no setting raises it"
+    return CapExceededError(f"{what} {count} {unit}, exceeding cap {limit} ({how})",
+                            count=count)
+
+
 class ParseError(HomcountError):
     """Text-format violation; `line` is the 1-based offending line number."""
 

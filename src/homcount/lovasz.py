@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError
+from .errors import cap_exceeded
 from .homsearch import count_morphisms, hom_count
 from .quotposet import (
     FinitePoset,
@@ -30,11 +30,11 @@ from .quotposet import (
 )
 from .sigstruct import (
     SE_M,
-    E_SM,
     FactorisationSystem,
     MorphismClass,
     Signature,
     Structure,
+    _check_same_signature,
     canonical_form,
     canonical_representative,
 )
@@ -182,21 +182,17 @@ def _structures_of_size(signature: Signature, n: int, *,
 def _check_candidate_cap(n: int, raw: int, cap: int) -> None:
     """Refuse an enumeration whose candidates through size n exceed the cap."""
     if raw > cap:
-        raise CapExceededError(
-            f"enumeration through size {n} spans {raw} candidate "
-            f"structures, exceeding cap {cap}",
-            count=raw,
-        )
+        raise cap_exceeded("HOMCOUNT_CAP", cap, f"enumeration through size {n} spans",
+                           raw, "candidate structures")
 
 
-def _catalogue_levels(signature: Signature, max_size: int, cap: int | None = None,
-                      *, undirected: bool = False):
+def _catalogue_levels(signature: Signature, max_size: int, *,
+                      undirected: bool = False):
     """Catalogue levels 1..max_size in order.  Before a level is built the
     candidate structures through it are counted against the cap, so a
     consumer that stops early never pays for, or trips over, the larger
     levels."""
-    if cap is None:
-        cap = structure_cap()
+    cap = structure_cap()
     raw = 0
     for n in range(1, max_size + 1):
         raw += 2 ** sum(map(len, _slot_grid(signature, n, undirected)))
@@ -206,20 +202,18 @@ def _catalogue_levels(signature: Signature, max_size: int, cap: int | None = Non
                else _structures_of_size(signature, n))
 
 
-def iter_structures(signature: Signature, max_size: int,
-                    cap: int | None = None):
+def iter_structures(signature: Signature, max_size: int):
     """Lazily yield canonical structures with 1..max_size elements in the
     deterministic order (size ascending, tuple count descending, canonical
     code), level by level under the cap."""
-    for level in _catalogue_levels(signature, max_size, cap):
+    for level in _catalogue_levels(signature, max_size):
         yield from level
 
 
-def enumerate_structures(signature: Signature, max_size: int,
-                         cap: int | None = None) -> tuple[Structure, ...]:
+def enumerate_structures(signature: Signature, max_size: int) -> tuple[Structure, ...]:
     """All canonical structures with 1..max_size elements, deterministic order
     (size ascending, tuple count descending, canonical code)."""
-    return tuple(iter_structures(signature, max_size, cap))
+    return tuple(iter_structures(signature, max_size))
 
 
 def embeddings_via_mobius(c: Structure, a: Structure,
@@ -242,20 +236,12 @@ def embeddings_via_mobius(c: Structure, a: Structure,
 
     realized = _realized_quotients(c, a)
     top_key = (tuple((x,) for x in range(c.size)), c.relations)
-    if top_key not in realized:
-        realized = dict(realized)
-        realized[top_key] = c
-
-    def total_order(key):
-        partition, rels = key
-        return (len(partition), partition, tuple(tuple(sorted(r)) for r in rels))
-
-    keys = sorted(realized.keys(), key=total_order)
-    index = {k: i for i, k in enumerate(keys)}
+    realized.setdefault(top_key, c)
+    keys = list(realized)
     poset = FinitePoset(len(keys), _factorisation_up_sets(keys, c.size))
     f1 = [hom_count(realized[k], a) for k in keys]
     f2 = mobius_invert_ints(poset, f1)
-    return f2[index[top_key]]
+    return f2[keys.index(top_key)]
 
 
 def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
@@ -290,28 +276,23 @@ def mobius_invert_ints(poset: FinitePoset, f1) -> list[int]:
             for y in range(poset.size)]
 
 
-def distinguish(a: Structure, b: Structure, budget: int, side: str = RIGHT,
-                system: FactorisationSystem = SE_M,
-                cap: int | None = None) -> DistinguishResult:
-    """First enumerated test structure whose counts against a and b differ."""
-    if a.signature != b.signature:
-        from .errors import SignatureMismatchError
-
-        raise SignatureMismatchError("subjects must share their signature")
+def distinguish(a: Structure, b: Structure, budget: int,
+                side: str = RIGHT) -> DistinguishResult:
+    """First enumerated test structure whose hom counts against a and b
+    differ."""
+    _check_same_signature(a, b)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    for test in iter_structures(a.signature, budget, cap):
-        na = _count_side(test, a, side, MorphismClass.HOM, system)
-        nb = _count_side(test, b, side, MorphismClass.HOM, system)
+    for test in iter_structures(a.signature, budget):
+        na = _count_side(test, a, side, MorphismClass.HOM, SE_M)
+        nb = _count_side(test, b, side, MorphismClass.HOM, SE_M)
         if na != nb:
             return DistinguishResult(test, (na, nb), DISTINGUISHED)
     return DistinguishResult(None, None, PROFILES_EQUAL)
 
 
-def decide_isomorphic_by_counting(a: Structure, b: Structure,
-                                  system: FactorisationSystem = SE_M,
-                                  cap: int | None = None) -> bool:
+def decide_isomorphic_by_counting(a: Structure, b: Structure) -> bool:
     """Lovasz-style decision: no distinguishing test up to size max(|a|, |b|)
     means isomorphic."""
     budget = max(a.size, b.size, 1)
-    return not distinguish(a, b, budget, RIGHT, system, cap).distinguished
+    return not distinguish(a, b, budget, RIGHT).distinguished

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import CapExceededError
+from .errors import cap_exceeded
 from .sigstruct import Structure
 
 PARTITION_SIZE_CAP = 8
@@ -26,10 +26,8 @@ def check_partition_cap(size: int) -> None:
     """Refuse to enumerate the set partitions of more than
     PARTITION_SIZE_CAP elements."""
     if size > PARTITION_SIZE_CAP:
-        raise CapExceededError(
-            f"partition enumeration cap {PARTITION_SIZE_CAP} exceeded by size {size}",
-            count=size,
-        )
+        raise cap_exceeded("PARTITION_SIZE_CAP", PARTITION_SIZE_CAP,
+                           "partition enumeration over", size, "elements")
 
 
 def _growth_strings(n: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-import sys
 import time
 from dataclasses import dataclass
 
@@ -465,13 +464,12 @@ def run_criterion(number: int, level: str = "desk") -> CriterionResult:
                            time.perf_counter() - start)
 
 
-def run_all(level: str = "desk", out=None) -> list[CriterionResult]:
-    out = out or sys.stdout
+def run_all(level: str = "desk") -> list[CriterionResult]:
     results = []
     for num, _, _ in CRITERIA:
         result = run_criterion(num, level)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status}\tcriterion {result.number}\t{result.name}\t"
-              f"{result.detail}\t{result.seconds:.1f}s", file=out)
+              f"{result.detail}\t{result.seconds:.1f}s")
     return results

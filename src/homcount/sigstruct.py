@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import CapExceededError, SignatureMismatchError
+from .errors import SignatureMismatchError, cap_exceeded
 
 CANON_SIZE_CAP = 8
 
@@ -227,10 +227,6 @@ class Morphism:
         return self.map[x]
 
 
-def identity_morphism(a: Structure) -> Morphism:
-    return Morphism.build(a, a, tuple(range(a.size)))
-
-
 def disjoint_union(a: Structure, b: Structure) -> Structure:
     """a + b on the shifted universe; no cross tuples."""
     _check_same_signature(a, b)
@@ -337,9 +333,8 @@ def _serialize(signature: Signature, size: int, sorted_rels) -> bytes:
 @lru_cache(maxsize=65536)
 def _canonical(a: Structure):
     if a.size > CANON_SIZE_CAP:
-        raise CapExceededError(
-            f"canonicalization limit {CANON_SIZE_CAP} exceeded by size {a.size}", count=a.size
-        )
+        raise cap_exceeded("CANON_SIZE_CAP", CANON_SIZE_CAP, "canonicalization of",
+                           a.size, "elements")
     best = None
     for perm in _candidate_permutations(a):
         rels = tuple(

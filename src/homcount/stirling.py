@@ -148,6 +148,8 @@ def _realized_quotients(c: Structure, a: Structure):
     """E_SM quotient classes of c whose codomain admits a relation-reflecting
     injection into a: kernel partition plus the pulled-back relations.  These
     are exactly the classes that can carry generic elements of hom(c, a).
+    The dict maps each key (partition, relations) to its codomain, ordered
+    by block count, then partition, then sorted relations.
 
     Every h in hom(c, a) factors as its kernel collapse followed by the
     injection of the blocks onto im h; a class is realized iff it is
@@ -176,7 +178,8 @@ def _realized_quotients(c: Structure, a: Structure):
         key = (partition, rels)
         if key not in rows:
             rows[key] = Structure(c.signature, len(partition), rels)
-    return rows
+    return dict(sorted(rows.items(), key=lambda kv: (
+        len(kv[0][0]), kv[0][0], tuple(tuple(sorted(r)) for r in kv[0][1]))))
 
 
 def kernel_decomposition(c: Structure, a: Structure,
@@ -194,14 +197,8 @@ def kernel_decomposition(c: Structure, a: Structure,
         classes = [(partition, collapse_structure(c, partition)[0])
                    for partition in set_partitions(c.size)]
     else:
-        classes = [
-            (partition, codomain)
-            for (partition, _), codomain in sorted(
-                _realized_quotients(c, a).items(),
-                key=lambda kv: (len(kv[0][0]), kv[0][0],
-                                tuple(tuple(sorted(r)) for r in kv[0][1])),
-            )
-        ]
+        classes = [(partition, codomain) for (partition, _), codomain
+                   in _realized_quotients(c, a).items()]
     rows = tuple(
         DecompositionRow(partition, codomain,
                          _generic_count_cached(codomain, a, system))

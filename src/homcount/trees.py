@@ -13,11 +13,12 @@ truncations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError
-from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult
+from .errors import cap_exceeded
+from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult, structure_cap
 
 TRUNCATION_NODE_CAP = 200_000
 
@@ -174,9 +175,8 @@ def truncate(spec: RationalTreeSpec, depth: int) -> FiniteTree:
             for child_state in spec.children[state]:
                 parents.append(node)
                 if len(parents) > TRUNCATION_NODE_CAP:
-                    raise CapExceededError(
-                        f"truncation exceeds {TRUNCATION_NODE_CAP} nodes", count=len(parents)
-                    )
+                    raise cap_exceeded("TRUNCATION_NODE_CAP", TRUNCATION_NODE_CAP,
+                                       "truncation to", len(parents), "nodes")
                 new_frontier.append((len(parents) - 1, child_state))
         frontier = new_frontier
     return FiniteTree(len(parents), tuple(parents))
@@ -216,6 +216,19 @@ def _encodings_of_size(n: int) -> tuple:
     return tuple(sorted(results))
 
 
+def _rooted_tree_counts():
+    """Yield a(1), a(2), ...: the number of rooted trees on n nodes (OEIS
+    A000081), by m a(m+1) = sum_{k=1..m} s(k) a(m-k+1) with
+    s(k) = sum_{d | k} d a(d).  No tree is built."""
+    a = [0, 1]
+    s = [0]
+    yield 1
+    for m in itertools.count(1):
+        s.append(sum(d * a[d] for d in range(1, m + 1) if m % d == 0))
+        a.append(sum(s[k] * a[m - k + 1] for k in range(1, m + 1)) // m)
+        yield a[m + 1]
+
+
 def enumerate_trees(max_nodes: int) -> list[FiniteTree]:
     """All rooted trees with 1..max_nodes nodes, by size then encoding."""
     out = []
@@ -226,13 +239,25 @@ def enumerate_trees(max_nodes: int) -> list[FiniteTree]:
 
 def distinguish_trees(p: FiniteTree, q: FiniteTree,
                       budget: int) -> DistinguishResult:
-    """First enumerated test tree with differing morphism counts into p, q."""
+    """First enumerated test tree with differing morphism counts into p, q.
+
+    The tests are walked in `enumerate_trees` order, level by level.  Before
+    a level is built the trees through it are counted against HOMCOUNT_CAP,
+    so a witness found early never meets the cap."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    for test in enumerate_trees(budget):
-        np_, nq = count_tree_morphisms(test, p), count_tree_morphisms(test, q)
-        if np_ != nq:
-            return DistinguishResult(test, (np_, nq), DISTINGUISHED)
+    cap = structure_cap()
+    total = 0
+    for n, count in zip(range(1, budget + 1), _rooted_tree_counts()):
+        total += count
+        if total > cap:
+            raise cap_exceeded("HOMCOUNT_CAP", cap, f"tree enumeration through size {n} spans",
+                               total, "test trees")
+        for code in _encodings_of_size(n):
+            test = tree_from_encoding(code)
+            np_, nq = count_tree_morphisms(test, p), count_tree_morphisms(test, q)
+            if np_ != nq:
+                return DistinguishResult(test, (np_, nq), DISTINGUISHED)
     return DistinguishResult(None, None, PROFILES_EQUAL)
 
 

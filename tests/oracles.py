@@ -7,7 +7,7 @@ the pruned search paths it is used to check.
 import itertools
 
 from homcount.lovasz import _catalogue
-from homcount.sigstruct import E_SM, SE_M, MorphismClass, Structure
+from homcount.sigstruct import E_SM, SE_M, Morphism, MorphismClass, Structure
 
 
 def all_maps(c, a):
@@ -59,6 +59,10 @@ def naive_morphisms(c, a, cls=MorphismClass.HOM, system=SE_M):
     return [tuple(f) for f in all_maps(c, a) if satisfies(f, c, a, cls, system)]
 
 
+def identity_morphism(a):
+    return Morphism.build(a, a, tuple(range(a.size)))
+
+
 def brute_isomorphic(a, b):
     """Try every bijection, requiring hom both ways."""
     if a.size != b.size:
@@ -107,6 +111,46 @@ def brute_treewidth(a):
             del g[v]
         best = min(best, width)
     return best
+
+
+def is_valid_decomposition(a, td):
+    """Element coverage, joint tuple coverage, and subtree connectivity."""
+    if a.size == 0:
+        return td.bags == ()
+    covered = set().union(*td.bags) if td.bags else set()
+    if covered != set(range(a.size)):
+        return False
+    for rel in a.relations:
+        for t in rel:
+            if not any(set(t) <= bag for bag in td.bags):
+                return False
+    adj = {i: set() for i in range(len(td.bags))}
+    for i, j in td.tree:
+        adj[i].add(j)
+        adj[j].add(i)
+    if len(td.bags) > 1:
+        seen = {0}
+        stack = [0]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != len(td.bags):
+            return False
+    for x in range(a.size):
+        holding = set(i for i, b in enumerate(td.bags) if x in b)
+        first = min(holding)
+        seen = {first}
+        stack = [first]
+        while stack:
+            for j in adj[stack.pop()]:
+                if j in holding and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if holding != seen:
+            return False
+    return max(len(b) for b in td.bags) - 1 == td.width
 
 
 def naive_tree_morphisms(r, p):

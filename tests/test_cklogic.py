@@ -11,7 +11,6 @@ from homcount.cklogic import (
     ck_profile_equal,
     enumerate_tw_lt_k,
     is_connected,
-    is_valid_decomposition,
     quotient_by_I,
     tree_decomposition,
     treewidth,
@@ -26,7 +25,7 @@ from homcount.sigstruct import (
     are_isomorphic,
     canonical_form,
 )
-from oracles import brute_treewidth, filter_first_tw_lt_k
+from oracles import brute_treewidth, filter_first_tw_lt_k, is_valid_decomposition
 
 
 def random_digraph(rng, n, p=0.35):
@@ -146,41 +145,50 @@ def test_enumerate_tw_lt_k_matches_the_filter_first_reference(k, budget, undirec
             == filter_first_tw_lt_k(GRAPH_SIGNATURE, k, budget, undirected))
 
 
-def test_enumerate_tw_lt_k_cap_counts_the_candidates_it_enumerates():
+def test_enumerate_tw_lt_k_cap_counts_the_candidates_it_enumerates(monkeypatch):
     # undirected: 2^0 + 2^1 + 2^3 + 2^6 = 75 candidates through size 4
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    full = enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True)
+    monkeypatch.setenv("HOMCOUNT_CAP", "74")
     with pytest.raises(CapExceededError) as err:
-        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True, cap=74)
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True)
     assert err.value.count == 75
     assert "through size 4" in str(err.value)
-    assert (enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True, cap=75)
-            == enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True))
+    monkeypatch.setenv("HOMCOUNT_CAP", "75")
+    assert enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 4, undirected=True) == full
     # directed: 2^1 + 2^4 = 18 candidates through size 2
+    monkeypatch.setenv("HOMCOUNT_CAP", "17")
     with pytest.raises(CapExceededError) as err:
-        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2, cap=17)
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2)
     assert err.value.count == 18
     assert "through size 2" in str(err.value)
     # a point with or without a loop, and the 7 connected 2-element digraphs
-    assert len(enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2, cap=18)) == 9
+    monkeypatch.setenv("HOMCOUNT_CAP", "18")
+    assert len(enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 2)) == 9
 
 
 def test_tree_walk_counts_its_candidates_against_the_cap(monkeypatch):
     # directed k = 2 levels: free trees times 3^(edges) orientations times
     # 2^n loop sets, i.e. 2, 12, 72, 864, 7,776, 93,312, 1,026,432
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    full = enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4)
+    monkeypatch.setenv("HOMCOUNT_CAP", "949")
     with pytest.raises(CapExceededError) as err:
-        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4, cap=949)
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4)
     assert err.value.count == 950
     assert "through size 4 spans 950 candidate structures, exceeding cap 949" \
         in str(err.value)
-    assert (enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4, cap=950)
-            == enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4))
-    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    monkeypatch.setenv("HOMCOUNT_CAP", "950")
+    assert enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 4) == full
+    monkeypatch.delenv("HOMCOUNT_CAP")
     with pytest.raises(CapExceededError) as err:
         enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 7)
     assert err.value.count == 1_128_470
-    # undirected levels count their rooted encodings: 37 through size 6
+    # undirected levels count their rooted trees: 37 through size 6
     assert len(enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 6, undirected=True)) == 14
+    monkeypatch.setenv("HOMCOUNT_CAP", "36")
     with pytest.raises(CapExceededError) as err:
-        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 6, undirected=True, cap=36)
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 6, undirected=True)
     assert err.value.count == 37
 
 

@@ -152,6 +152,40 @@ def test_distinguish_bad_cap_names_the_variable_exit_2(files, capsys, monkeypatc
     assert "HOMCOUNT_CAP" in err and "'ten'" in err
 
 
+NINE_TEXT = "signature E/2\nstructure n9 size 9\nend\n"
+ELEVEN_TEXT = "signature E/2\nstructure n11 size 11\nend\n"
+BINARY_SPEC_TEXT = "treespec binary states 1 start 0\nchildren 0: 0 0\nend\n"
+
+
+@pytest.mark.parametrize("cap, setting, argv", [
+    ("HOMCOUNT_CAP", "10", ["distinguish", "--budget", "4", "c6", "two_c3"]),
+    ("PARTITION_SIZE_CAP", None, ["mobius", "nine"]),
+    ("CANON_SIZE_CAP", None, ["iso", "nine", "nine"]),
+    ("TREEWIDTH_SIZE_CAP", None, ["treewidth", "eleven"]),
+    ("TRUNCATION_NODE_CAP", None, ["trees", "truncate", "--depth", "20", "binary"]),
+    ("HOMCOUNT_CAP", "1000", ["trees", "distinguish", "--budget", "10", "chain", "chain"]),
+])
+def test_every_cap_exits_3_and_names_itself(files, capsys, monkeypatch, cap, setting, argv):
+    paths = {
+        "c6": files("c6.struct", C6_TEXT),
+        "two_c3": files("2c3.struct", TWO_C3_TEXT),
+        "nine": files("nine.struct", NINE_TEXT),
+        "eleven": files("eleven.struct", ELEVEN_TEXT),
+        "binary": files("binary.spec", BINARY_SPEC_TEXT),
+        "chain": files("chain.tree", TREES_TEXT),
+    }
+    if setting is None:
+        monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    else:
+        monkeypatch.setenv("HOMCOUNT_CAP", setting)
+    code, out, err = invoke([paths.get(arg, arg) for arg in argv], capsys)
+    assert code == 3
+    assert out == ""
+    assert cap in err and "exceeding cap" in err
+    assert ("set the environment variable HOMCOUNT_CAP to raise it" in err) == \
+        (setting is not None)
+
+
 def test_iso(files, capsys):
     a = files("c6.struct", C6_TEXT)
     b = files("2c3.struct", TWO_C3_TEXT)

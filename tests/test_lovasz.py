@@ -116,15 +116,18 @@ def test_levels_match_the_all_candidates_reference(monkeypatch):
             (signature, n, undirected)
 
 
-def test_enumerate_structures_cap():
+def test_enumerate_structures_cap(monkeypatch):
+    monkeypatch.setenv("HOMCOUNT_CAP", "1000")
     with pytest.raises(CapExceededError) as err:
-        enumerate_structures(GRAPH_SIGNATURE, 6, cap=1000)
+        enumerate_structures(GRAPH_SIGNATURE, 6)
     assert err.value.count > 1000
     # the cap counts the candidate space (2 + 16 + 512 + 65,536), not classes
+    monkeypatch.setenv("HOMCOUNT_CAP", "66065")
     with pytest.raises(CapExceededError) as err:
-        enumerate_structures(GRAPH_SIGNATURE, 4, cap=66065)
+        enumerate_structures(GRAPH_SIGNATURE, 4)
     assert err.value.count == 66066
-    assert len(enumerate_structures(GRAPH_SIGNATURE, 4, cap=66066)) == 2 + 10 + 104 + 3044
+    monkeypatch.setenv("HOMCOUNT_CAP", "66066")
+    assert len(enumerate_structures(GRAPH_SIGNATURE, 4)) == 2 + 10 + 104 + 3044
 
 
 def test_embeddings_via_mobius_no_relation_sources():

@@ -144,7 +144,9 @@ def test_quotient_poset_cap():
     for run in (lambda: quotient_poset(c),
                 lambda: embeddings_via_mobius(c, no_relation(9), SE_M),
                 lambda: kernel_decomposition(c, no_relation(2), SE_M)):
-        with pytest.raises(CapExceededError, match="partition enumeration cap 8"):
+        with pytest.raises(CapExceededError, match=r"partition enumeration over 9 "
+                                                   r"elements, exceeding cap 8 "
+                                                   r"\(PARTITION_SIZE_CAP"):
             run()
 
 

@@ -17,11 +17,10 @@ from homcount.sigstruct import (
     canonical_form,
     canonical_representative,
     disjoint_union,
-    identity_morphism,
     pushout,
     validate_morphism,
 )
-from oracles import brute_isomorphic, naive_count
+from oracles import brute_isomorphic, identity_morphism, naive_count
 
 CLS = MorphismClass
 

@@ -4,6 +4,7 @@ import pytest
 
 from homcount.errors import CapExceededError
 from homcount.lovasz import DISTINGUISHED, PROFILES_EQUAL
+from homcount import trees
 from homcount.trees import (
     FiniteTree,
     TRUNCATION_NODE_CAP,
@@ -17,6 +18,7 @@ from homcount.trees import (
     tree_from_encoding,
     truncate,
 )
+from homcount.trees import _encodings_of_size, _rooted_tree_counts
 from oracles import naive_tree_morphisms, tree_encoding
 
 
@@ -195,6 +197,38 @@ def test_distinguish_trees_example():
 def test_distinguish_trees_self():
     t = full_binary(2)
     assert distinguish_trees(t, t, budget=4).verdict == PROFILES_EQUAL
+
+
+def test_rooted_tree_counts_match_the_enumeration():
+    counts = itertools.islice(_rooted_tree_counts(), 12)
+    assert list(counts) == [len(_encodings_of_size(n)) for n in range(1, 13)]
+
+
+def test_distinguish_trees_builds_no_level_past_its_witness(monkeypatch):
+    built = []
+    real = trees._encodings_of_size
+
+    def recording(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(trees, "_encodings_of_size", recording)
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    res = distinguish_trees(chain_tree(2), chain_tree(3), budget=40)
+    assert tree_encoding(res.witness) == tree_encoding(chain_tree(3))
+    assert res.counts == (0, 1)
+    assert max(built) == 3
+
+
+def test_distinguish_trees_cap(monkeypatch):
+    # 486 rooted trees through 9 nodes, 1,205 through 10
+    t = full_binary(2)
+    monkeypatch.setenv("HOMCOUNT_CAP", "1000")
+    assert distinguish_trees(t, t, budget=9).verdict == PROFILES_EQUAL
+    with pytest.raises(CapExceededError) as err:
+        distinguish_trees(t, t, budget=10)
+    assert err.value.count == 1205
+    assert "through size 10 spans 1205 test trees, exceeding cap 1000" in str(err.value)
 
 
 def test_distinguish_all_pairs_up_to_4_nodes():
