@@ -19,10 +19,8 @@ from functools import lru_cache
 
 from .errors import cap_exceeded
 from .homsearch import hom_count
-from .lovasz import (_catalogue, _catalogue_levels, _check_candidate_cap,
-                     structure_cap)
-from .sigstruct import (GRAPH_SIGNATURE, Signature, Structure, _check_same_signature,
-                        _merge_projection)
+from .lovasz import _candidate_counts, _capped_sizes, _catalogue, _structures_of_size
+from .sigstruct import Signature, Structure, _check_same_signature, _merge_projection
 from .trees import _encodings_of_size, _rooted_tree_counts, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
@@ -150,42 +148,48 @@ def tree_decomposition(a: Structure) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(edges), max(len(b) for b in bags) - 1)
 
 
-@lru_cache(maxsize=64)
-def _tree_structures(n: int) -> tuple[Structure, ...]:
-    """Trees on n nodes as symmetric loopless structures, in catalogue
-    order, read off the n-node rooted trees."""
-    def symmetric(tree):
-        arcs = {(tree.parent[v], v) for v in range(n) if tree.parent[v] != -1}
-        return Structure.build(GRAPH_SIGNATURE, n,
-                               {"E": arcs | {(y, x) for x, y in arcs}})
-
-    return _catalogue(symmetric(tree_from_encoding(code))
-                      for code in _encodings_of_size(n))
-
-
-@lru_cache(maxsize=64)
-def _decorated_tree_structures(n: int) -> tuple[Structure, ...]:
-    """All connected digraphs on n nodes whose Gaifman graph is a tree: every
-    tree edge carries one of {forward, backward, both}, every node may carry a
-    loop."""
-    def decorations(tree):
-        edges = sorted((x, y) for x, y in tree.relations[0] if x < y)
-        for orient in itertools.product(range(3), repeat=len(edges)):
-            base = set()
-            for (x, y), o in zip(edges, orient):
-                if o != 1:
-                    base.add((x, y))
-                if o != 0:
-                    base.add((y, x))
-            for loopbits in range(1 << n):
-                loops = {(v, v) for v in range(n) if loopbits >> v & 1}
-                yield Structure.build(GRAPH_SIGNATURE, n, {"E": base | loops})
-
-    return _catalogue(s for tree in _tree_structures(n) for s in decorations(tree))
-
-
 def _is_graph_signature(sig: Signature) -> bool:
     return len(sig.symbols) == 1 and sig.symbols[0][1] == 2
+
+
+def _decorations(tree: Structure):
+    """Every digraph whose Gaifman graph is the given tree: every tree edge
+    carries one of {forward, backward, both}, every node may carry a loop."""
+    n = tree.size
+    edges = sorted((x, y) for x, y in tree.relations[0] if x < y)
+    for orient in itertools.product(range(3), repeat=len(edges)):
+        base = set()
+        for (x, y), o in zip(edges, orient):
+            if o != 1:
+                base.add((x, y))
+            if o != 0:
+                base.add((y, x))
+        for loopbits in range(1 << n):
+            loops = {(v, v) for v in range(n) if loopbits >> v & 1}
+            yield Structure(tree.signature, n, (frozenset(base | loops),))
+
+
+@lru_cache(maxsize=128)
+def _tw_level(signature: Signature, k: int, n: int, undirected: bool) -> tuple[Structure, ...]:
+    """Level n of `enumerate_tw_lt_k`, in catalogue order.  Over one binary
+    symbol at k = 2 these are the trees on n nodes (read off the rooted
+    trees) when undirected, and their decorations when directed; otherwise
+    the catalogue level filtered to connected structures of tree-width < k."""
+    if k == 2 and _is_graph_signature(signature):
+        if not undirected:
+            return _catalogue(s for tree in _tw_level(signature, 2, n, True)
+                              for s in _decorations(tree))
+
+        def symmetric(tree):
+            arcs = {(tree.parent[v], v) for v in range(n) if tree.parent[v] != -1}
+            return Structure(signature, n, (frozenset(arcs | {(y, x) for x, y in arcs}),))
+
+        return _catalogue(symmetric(tree_from_encoding(code))
+                          for code in _encodings_of_size(n))
+    # the keyword only when set, so each catalogue level has one cache entry
+    level = (_structures_of_size(signature, n, undirected=True) if undirected
+             else _structures_of_size(signature, n))
+    return tuple(s for s in level if is_connected(s) and treewidth(s) < k)
 
 
 def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
@@ -200,31 +204,26 @@ def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
     symbol only), which carries the same distinguishing power against
     symmetric subjects.  For k = 2 over one binary symbol the levels come
     from loop-decorated tree orientations instead of all relation subsets,
-    which reaches sizes whose full catalogue level is beyond the cap; the
-    candidates that walk builds through max_size (the rooted trees per
-    undirected level, counted without building them, every orientation and
-    loop set of every tree per directed level) are counted against the cap
-    before any level is built.
+    which reaches sizes whose full catalogue level is beyond the cap.  The
+    candidates of every level through max_size (the rooted trees per
+    undirected tree level, every orientation and loop set of every tree per
+    directed one, every relation subset per catalogue level) are counted
+    against the cap before any level is built; each level is built once per
+    process.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if undirected and not _is_graph_signature(signature):
         raise ValueError("the undirected preset needs exactly one binary symbol")
-    if k == 2 and _is_graph_signature(signature):
-        cap = structure_cap()
-        raw = 0
-        for n, rooted in zip(range(1, max_size + 1), _rooted_tree_counts()):
-            raw += (rooted if undirected
-                    else len(_tree_structures(n)) * 3 ** (n - 1) * 2 ** n)
-            _check_candidate_cap(n, raw, cap)
-        tree_level = _tree_structures if undirected else _decorated_tree_structures
-        return tuple(s for n in range(1, max_size + 1) for s in tree_level(n))
-    return tuple(
-        s
-        for level in _catalogue_levels(signature, max_size, undirected=undirected)
-        for s in level
-        if is_connected(s) and treewidth(s) < k
-    )
+    if k != 2 or not _is_graph_signature(signature):
+        counts = _candidate_counts(signature, undirected)
+    elif undirected:
+        counts = _rooted_tree_counts()
+    else:
+        counts = (len(_tw_level(signature, 2, n, True)) * 3 ** (n - 1) * 2 ** n
+                  for n in itertools.count(1))
+    sizes = list(_capped_sizes(max_size, counts, "enumeration", "candidate structures"))
+    return tuple(s for n in sizes for s in _tw_level(signature, k, n, undirected))
 
 
 def _initial_colors_1(s: Structure):
@@ -318,11 +317,6 @@ class CkVerdict:
     method: str
     witness: Structure | None = None
     counts: tuple[int, int] | None = None
-
-
-def ck_equivalent_wl(a: Structure, b: Structure, k: int) -> CkVerdict:
-    """The refinement oracle packaged as a verdict (no witness)."""
-    return CkVerdict(wl_equivalent(a, b, k), "wl-oracle")
 
 
 def ck_profile_equal(a: Structure, b: Structure, k: int, budget: int,

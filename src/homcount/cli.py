@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cklogic import ck_equivalent_wl, ck_profile_equal, treewidth
+from .cklogic import ck_profile_equal, treewidth, wl_equivalent
 from .errors import CapExceededError, HomcountError, ParseError
 from .formats import (
     parse_groups_and_towers,
@@ -53,18 +53,21 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _first_structure(path: str):
-    blocks = parse_structures(_read(path))
+def _first_block(path: str, parse=parse_structures, kind: str = "structure"):
+    """The first (name, value) block that `parse` reads from the file."""
+    blocks = parse(_read(path))
     if not blocks:
-        raise ParseError(f"{path} contains no structure block")
+        raise ParseError(f"{path} contains no {kind} block")
     return blocks[0]
 
 
-def _first_tree(path: str):
-    blocks = parse_trees(_read(path))
-    if not blocks:
-        raise ParseError(f"{path} contains no tree block")
-    return blocks[0]
+def _report_witness(block: str, names, counts) -> int:
+    """Report a distinguishing witness: its block, then one count line per
+    subject."""
+    sys.stdout.write(block)
+    for name, count in zip(names, counts):
+        print(f"count\t{name}\t{count}")
+    return EXIT_DISTINGUISHED
 
 
 def _system(text: str) -> FactorisationSystem:
@@ -263,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    _, c = _first_structure(args.source)
-    _, a = _first_structure(args.target)
+    _, c = _first_block(args.source)
+    _, a = _first_block(args.target)
     res = count_morphisms(c, a, _class(args.cls), _system(args.system),
                           enumerate_witnesses=args.limit is not None,
                           limit=args.limit)
@@ -278,7 +281,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    _, a = _first_structure(args.subject)
+    _, a = _first_block(args.subject)
     family = enumerate_structures(a.signature, args.budget)
     prof = hom_profile(a, family, args.side, _class(args.cls),
                        _system(args.system))
@@ -288,27 +291,25 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    name_a, a = _first_structure(args.left_subject)
-    name_b, b = _first_structure(args.right_subject)
+    name_a, a = _first_block(args.left_subject)
+    name_b, b = _first_block(args.right_subject)
     res = distinguish(a, b, args.budget, args.side)
     if res.distinguished:
-        sys.stdout.write(write_structure("witness", res.witness))
-        print(f"count\t{name_a}\t{res.counts[0]}")
-        print(f"count\t{name_b}\t{res.counts[1]}")
-        return EXIT_DISTINGUISHED
+        return _report_witness(write_structure("witness", res.witness), (name_a, name_b),
+                               res.counts)
     print(res.verdict)
     return EXIT_OK
 
 
 def _cmd_iso(args) -> int:
-    _, a = _first_structure(args.left_subject)
-    _, b = _first_structure(args.right_subject)
+    _, a = _first_block(args.left_subject)
+    _, b = _first_block(args.right_subject)
     print("true" if are_isomorphic(a, b) else "false")
     return EXIT_OK
 
 
 def _cmd_mobius(args) -> int:
-    _, c = _first_structure(args.source)
+    _, c = _first_block(args.source)
     q = quotient_poset(c)
     for i, e in enumerate(q.elements):
         print(f"element\t{i}\t{_partition_text(e.partition)}")
@@ -326,8 +327,8 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    _, c = _first_structure(args.source)
-    _, a = _first_structure(args.target)
+    _, c = _first_block(args.source)
+    _, a = _first_block(args.target)
     dec = kernel_decomposition(c, a, _system(args.system))
     print("partition\tblocks\tgeneric")
     for row in dec.rows:
@@ -343,52 +344,44 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_treewidth(args) -> int:
-    _, a = _first_structure(args.subject)
+    _, a = _first_block(args.subject)
     print(treewidth(a))
     return EXIT_OK
 
 
 def _cmd_ck(args) -> int:
-    name_a, a = _first_structure(args.left_subject)
-    name_b, b = _first_structure(args.right_subject)
+    name_a, a = _first_block(args.left_subject)
+    name_b, b = _first_block(args.right_subject)
     if args.method == "wl":
-        verdict = ck_equivalent_wl(a, b, args.k)
-        print(f"{verdict.method}\t"
-              f"{'equivalent' if verdict.equivalent else 'inequivalent'}")
-        return EXIT_OK if verdict.equivalent else EXIT_DISTINGUISHED
+        equivalent = wl_equivalent(a, b, args.k)
+        print(f"wl-oracle\t{'equivalent' if equivalent else 'inequivalent'}")
+        return EXIT_OK if equivalent else EXIT_DISTINGUISHED
     if args.budget is None:
         raise ParseError("--budget is required for the hom-profile method")
     verdict = ck_profile_equal(a, b, args.k, args.budget, args.undirected)
     if verdict.equivalent:
         print("hom-profile\tequivalent-within-budget")
         return EXIT_OK
-    sys.stdout.write(write_structure("witness", verdict.witness))
-    print(f"count\t{name_a}\t{verdict.counts[0]}")
-    print(f"count\t{name_b}\t{verdict.counts[1]}")
-    return EXIT_DISTINGUISHED
+    return _report_witness(write_structure("witness", verdict.witness), (name_a, name_b),
+                           verdict.counts)
 
 
 def _cmd_trees(args) -> int:
     if args.tree_command == "count":
-        _, r = _first_tree(args.source)
-        _, p = _first_tree(args.target)
+        _, r = _first_block(args.source, parse_trees, "tree")
+        _, p = _first_block(args.target, parse_trees, "tree")
         print(count_tree_morphisms(r, p))
         return EXIT_OK
     if args.tree_command == "distinguish":
-        name_p, p = _first_tree(args.left_subject)
-        name_q, q = _first_tree(args.right_subject)
+        name_p, p = _first_block(args.left_subject, parse_trees, "tree")
+        name_q, q = _first_block(args.right_subject, parse_trees, "tree")
         res = distinguish_trees(p, q, args.budget)
         if res.distinguished:
-            sys.stdout.write(write_tree("witness", res.witness))
-            print(f"count\t{name_p}\t{res.counts[0]}")
-            print(f"count\t{name_q}\t{res.counts[1]}")
-            return EXIT_DISTINGUISHED
+            return _report_witness(write_tree("witness", res.witness), (name_p, name_q),
+                                   res.counts)
         print(res.verdict)
         return EXIT_OK
-    specs = parse_tree_specs(_read(args.spec))
-    if not specs:
-        raise ParseError(f"{args.spec} contains no treespec block")
-    name, spec = specs[0]
+    name, spec = _first_block(args.spec, parse_tree_specs, "treespec")
     sys.stdout.write(write_tree(name, truncate(spec, args.depth)))
     return EXIT_OK
 
@@ -426,10 +419,7 @@ def _cmd_tower(args) -> int:
             print(f"warning: counts for {wname} not stabilized", file=sys.stderr)
         if res.distinguished:
             wname = next(n for n, g in fam if g == res.witness)
-            print(f"witness\t{wname}")
-            print(f"count\t{name1}\t{res.counts[0]}")
-            print(f"count\t{name2}\t{res.counts[1]}")
-            return EXIT_DISTINGUISHED
+            return _report_witness(f"witness\t{wname}\n", (name1, name2), res.counts)
         print(res.verdict)
         return EXIT_OK
     _, t = _tower_from(args.tower_file)

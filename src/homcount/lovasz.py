@@ -4,11 +4,13 @@ counting morphisms, at desk scale.
 The distinguishing engine enumerates canonical representatives of all
 structures up to a size budget in a fixed deterministic order: by size, then
 by descending relation-tuple count, then by canonical code.  This module owns
-that catalogue; `cklogic` reads it restricted to tree-width < k.  Testing up to
-size max(|a|, |b|) is enough to decide isomorphism: equal profiles force
-mutual embeddings via Moebius inversion, and mutual embeddings between
-finite structures force isomorphism (the injective endomorphism monoid of a
-finite structure is a group).
+that catalogue, and the one walk that counts the candidates of every family of
+test structures (this catalogue, `cklogic`'s tree-width levels, `trees`'
+rooted trees) against HOMCOUNT_CAP; `cklogic` reads the catalogue restricted
+to tree-width < k.  Testing up to size max(|a|, |b|) is enough to decide
+isomorphism: equal profiles force mutual embeddings via Moebius inversion, and
+mutual embeddings between finite structures force isomorphism (the injective
+endomorphism monoid of a finite structure is a group).
 """
 
 from __future__ import annotations
@@ -179,35 +181,35 @@ def _structures_of_size(signature: Signature, n: int, *,
     return _catalogue(map(structure, reps))
 
 
-def _check_candidate_cap(n: int, raw: int, cap: int) -> None:
-    """Refuse an enumeration whose candidates through size n exceed the cap."""
-    if raw > cap:
-        raise cap_exceeded("HOMCOUNT_CAP", cap, f"enumeration through size {n} spans",
-                           raw, "candidate structures")
-
-
-def _catalogue_levels(signature: Signature, max_size: int, *,
-                      undirected: bool = False):
-    """Catalogue levels 1..max_size in order.  Before a level is built the
-    candidate structures through it are counted against the cap, so a
-    consumer that stops early never pays for, or trips over, the larger
-    levels."""
+def _capped_sizes(max_size: int, level_counts, what: str, unit: str):
+    """The sizes 1..max_size of a level-by-level walk, yielded while the
+    running total of candidates, one count per level from `level_counts`,
+    stays within HOMCOUNT_CAP.  The first size past the cap raises before
+    its level is built, so a consumer that stops early never pays for, or
+    trips over, the larger levels."""
     cap = structure_cap()
-    raw = 0
-    for n in range(1, max_size + 1):
-        raw += 2 ** sum(map(len, _slot_grid(signature, n, undirected)))
-        _check_candidate_cap(n, raw, cap)
-        # the keyword only when set, so each level has one cache entry
-        yield (_structures_of_size(signature, n, undirected=True) if undirected
-               else _structures_of_size(signature, n))
+    total = 0
+    for n, count in zip(range(1, max_size + 1), level_counts):
+        total += count
+        if total > cap:
+            raise cap_exceeded("HOMCOUNT_CAP", cap, f"{what} through size {n} spans",
+                               total, unit)
+        yield n
+
+
+def _candidate_counts(signature: Signature, undirected: bool = False):
+    """Per catalogue level 1, 2, ...: the number of candidate masks."""
+    for n in itertools.count(1):
+        yield 2 ** sum(map(len, _slot_grid(signature, n, undirected)))
 
 
 def iter_structures(signature: Signature, max_size: int):
     """Lazily yield canonical structures with 1..max_size elements in the
     deterministic order (size ascending, tuple count descending, canonical
     code), level by level under the cap."""
-    for level in _catalogue_levels(signature, max_size):
-        yield from level
+    for n in _capped_sizes(max_size, _candidate_counts(signature),
+                           "enumeration", "candidate structures"):
+        yield from _structures_of_size(signature, n)
 
 
 def enumerate_structures(signature: Signature, max_size: int) -> tuple[Structure, ...]:

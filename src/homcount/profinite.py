@@ -95,9 +95,6 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.codomain.order
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
 
 def is_group_hom(f, g: FiniteGroup, c: FiniteGroup) -> bool:
     if len(f) != g.order or any(not 0 <= v < c.order for v in f):

@@ -223,9 +223,6 @@ class Morphism:
                 tags.add(MorphismClass.QUOTIENT)
         return Morphism(domain, codomain, f, frozenset(tags))
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
 
 def disjoint_union(a: Structure, b: Structure) -> Structure:
     """a + b on the shifted universe; no cross tuples."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import cap_exceeded
-from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult, structure_cap
+from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult, _capped_sizes
 
 TRUNCATION_NODE_CAP = 200_000
 
@@ -246,13 +246,7 @@ def distinguish_trees(p: FiniteTree, q: FiniteTree,
     so a witness found early never meets the cap."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    cap = structure_cap()
-    total = 0
-    for n, count in zip(range(1, budget + 1), _rooted_tree_counts()):
-        total += count
-        if total > cap:
-            raise cap_exceeded("HOMCOUNT_CAP", cap, f"tree enumeration through size {n} spans",
-                               total, "test trees")
+    for n in _capped_sizes(budget, _rooted_tree_counts(), "tree enumeration", "test trees"):
         for code in _encodings_of_size(n):
             test = tree_from_encoding(code)
             np_, nq = count_tree_morphisms(test, p), count_tree_morphisms(test, q)

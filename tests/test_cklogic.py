@@ -136,6 +136,17 @@ def test_enumerate_tw_fast_path_matches_generic_path():
         assert len(set(canonical_form(s) for s in fast)) == len(fast)
 
 
+def test_tree_levels_carry_the_signature_they_were_asked_for():
+    # any one binary symbol takes the k = 2 tree walk, and its tests must be
+    # over that symbol, or counting them into the subjects is refused
+    f = Signature((("F", 2),))
+    for undirected in (False, True):
+        got = enumerate_tw_lt_k(f, 2, 3, undirected)
+        assert {s.signature for s in got} == {f}
+        assert [s.relations for s in got] == \
+            [s.relations for s in enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 3, undirected)]
+
+
 @pytest.mark.parametrize("k, budget, undirected",
                          [(3, 4, True), (3, 5, True), (4, 5, True), (3, 3, False)])
 def test_enumerate_tw_lt_k_matches_the_filter_first_reference(k, budget, undirected):
@@ -193,16 +204,51 @@ def test_tree_walk_counts_its_candidates_against_the_cap(monkeypatch):
 
 
 def test_tree_levels_are_built_once_per_process(monkeypatch):
-    # The k = 2 tree levels are cached like the catalogue levels, so a second
-    # walk canonicalises nothing.
-    first = enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 5)
+    # Every level is cached, the k = 2 tree levels like the filtered
+    # catalogue levels, so a second walk canonicalises and filters nothing.
+    cases = [(GRAPH_SIGNATURE, 2, 5, False), (GRAPH_SIGNATURE, 2, 5, True),
+             (GRAPH_SIGNATURE, 3, 5, True), (GRAPH_SIGNATURE, 3, 3, False),
+             (Signature((("E", 2), ("R", 3))), 2, 2, False)]
+    first = [enumerate_tw_lt_k(*case) for case in cases]
     calls = []
-    for module in (cklogic, lovasz):
-        real = module._catalogue
-        monkeypatch.setattr(module, "_catalogue",
-                            lambda structures, real=real: calls.append(1) or real(structures))
-    assert enumerate_tw_lt_k(GRAPH_SIGNATURE, 2, 5) == first
+    for module, name in ((cklogic, "_catalogue"), (lovasz, "_catalogue"),
+                         (cklogic, "is_connected"), (cklogic, "treewidth")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda arg, real=real, name=name:
+                            calls.append(name) or real(arg))
+    assert [enumerate_tw_lt_k(*case) for case in cases] == first
     assert calls == []
+
+
+def test_the_cap_is_checked_before_any_level_is_built(monkeypatch):
+    # directed, through size 5: 2 + 16 + 512 + 65,536 + 2^25 candidates,
+    # refused before levels 1 to 4 are built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a level was built before the cap was checked")
+
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    cklogic._tw_level.cache_clear()
+    monkeypatch.setattr(cklogic, "_structures_of_size", unbuilt)
+    with pytest.raises(CapExceededError) as err:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, 3, 5)
+    assert err.value.count == 33_620_498
+    assert "through size 5" in str(err.value)
+
+
+@pytest.mark.parametrize("k, budget, undirected, cap", [
+    (3, 4, True, 74), (2, 4, False, 949), (2, 6, True, 36)])
+def test_a_cached_level_is_still_counted_against_the_cap(monkeypatch, k, budget,
+                                                        undirected, cap):
+    monkeypatch.delenv("HOMCOUNT_CAP", raising=False)
+    enumerate_tw_lt_k(GRAPH_SIGNATURE, k, budget, undirected)
+    monkeypatch.setenv("HOMCOUNT_CAP", str(cap))
+    with pytest.raises(CapExceededError) as warm:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, k, budget, undirected)
+    cklogic._tw_level.cache_clear()
+    with pytest.raises(CapExceededError) as cold:
+        enumerate_tw_lt_k(GRAPH_SIGNATURE, k, budget, undirected)
+    assert (str(warm.value), warm.value.count) == (str(cold.value), cold.value.count)
+    assert warm.value.count == cap + 1
 
 
 def test_enumerate_tw_lt_k_connected_only():

@@ -370,6 +370,18 @@ def test_parse_error_exit_2(files, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["treewidth", "EMPTY"], "structure"),
+    (["trees", "count", "EMPTY", "EMPTY"], "tree"),
+    (["trees", "truncate", "--depth", "1", "EMPTY"], "treespec"),
+])
+def test_a_file_without_blocks_names_the_block_kind_exit_2(files, capsys, argv, kind):
+    empty = files("empty.txt", "")
+    code, out, err = invoke([empty if arg == "EMPTY" else arg for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {empty} contains no {kind} block\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["nonsense"]) == 2
 
