@@ -49,7 +49,6 @@ from .lovasz import (
 from .trees import (
     FiniteTree,
     RationalTreeSpec,
-    TreeMorphism,
     count_tree_morphisms,
     distinguish_trees,
     enumerate_trees,

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .errors import cap_exceeded
 from .homsearch import hom_count
 from .lovasz import _candidate_counts, _capped_sizes, _catalogue, _structures_of_size
-from .sigstruct import Signature, Structure, _check_same_signature, _merge_projection
+from .sigstruct import Signature, Structure, _check_same_signature, _image, _merge_projection
 from .trees import _encodings_of_size, _rooted_tree_counts, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
@@ -314,7 +314,6 @@ def wl_equivalent(a: Structure, b: Structure, k: int) -> bool:
 @dataclass(frozen=True)
 class CkVerdict:
     equivalent: bool
-    method: str
     witness: Structure | None = None
     counts: tuple[int, int] | None = None
 
@@ -327,8 +326,8 @@ def ck_profile_equal(a: Structure, b: Structure, k: int, budget: int,
     for test in enumerate_tw_lt_k(a.signature, k, budget, undirected):
         na, nb = hom_count(test, a), hom_count(test, b)
         if na != nb:
-            return CkVerdict(False, "hom-profile", test, (na, nb))
-    return CkVerdict(True, "hom-profile")
+            return CkVerdict(False, test, (na, nb))
+    return CkVerdict(True)
 
 
 def add_identity_relation(a: Structure) -> Structure:
@@ -349,10 +348,7 @@ def quotient_by_I(b: Structure) -> Structure:
     if b.signature.symbols[i_idx][1] != 2:
         raise ValueError("I must be binary")
     proj = _merge_projection(b.size, b.relations[i_idx])
-    sig = Signature(tuple(s for i, s in enumerate(b.signature.symbols) if i != i_idx))
-    rels = tuple(
-        frozenset(tuple(proj[x] for x in t) for t in rel)
-        for i, rel in enumerate(b.relations)
-        if i != i_idx
-    )
-    return Structure(sig, len(set(proj)), rels)
+    reduct = Structure(
+        Signature(b.signature.symbols[:i_idx] + b.signature.symbols[i_idx + 1:]),
+        b.size, b.relations[:i_idx] + b.relations[i_idx + 1:])
+    return _image(reduct, proj, len(set(proj)))

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .cklogic import ck_profile_equal, treewidth, wl_equivalent
-from .errors import CapExceededError, HomcountError, ParseError
+from .errors import CapExceededError, HomcountError, InvariantViolationError, ParseError
 from .formats import (
     parse_groups_and_towers,
     parse_structures,
@@ -53,12 +53,21 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _first_block(path: str, parse=parse_structures, kind: str = "structure"):
-    """The first (name, value) block that `parse` reads from the file."""
+def _blocks(path: str, parse=parse_structures, kind: str = "structure"):
+    """The (name, value) blocks that `parse` reads from the file, at least
+    one."""
     blocks = parse(_read(path))
     if not blocks:
         raise ParseError(f"{path} contains no {kind} block")
-    return blocks[0]
+    return blocks
+
+
+def _groups(text: str):
+    return list(parse_groups_and_towers(text)[0].items())
+
+
+def _towers(text: str):
+    return list(parse_groups_and_towers(text)[1].items())
 
 
 def _report_witness(block: str, names, counts) -> int:
@@ -138,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, required=True)
     _add_side(p)
-    _add_system(p)
     p.add_argument("left_subject")
     p.add_argument("right_subject")
 
@@ -157,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and Moebius table (Moebius inversion in the incidence "
                     "algebra recovers embedding from hom counts).",
     )
-    _add_system(p)
     p.add_argument("source")
 
     p = sub.add_parser(
@@ -266,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    _, c = _first_block(args.source)
-    _, a = _first_block(args.target)
+    _, c = _blocks(args.source)[0]
+    _, a = _blocks(args.target)[0]
     res = count_morphisms(c, a, _class(args.cls), _system(args.system),
                           enumerate_witnesses=args.limit is not None,
                           limit=args.limit)
@@ -281,7 +288,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    _, a = _first_block(args.subject)
+    _, a = _blocks(args.subject)[0]
     family = enumerate_structures(a.signature, args.budget)
     prof = hom_profile(a, family, args.side, _class(args.cls),
                        _system(args.system))
@@ -291,8 +298,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    name_a, a = _first_block(args.left_subject)
-    name_b, b = _first_block(args.right_subject)
+    name_a, a = _blocks(args.left_subject)[0]
+    name_b, b = _blocks(args.right_subject)[0]
     res = distinguish(a, b, args.budget, args.side)
     if res.distinguished:
         return _report_witness(write_structure("witness", res.witness), (name_a, name_b),
@@ -302,14 +309,14 @@ def _cmd_distinguish(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    _, a = _first_block(args.left_subject)
-    _, b = _first_block(args.right_subject)
+    _, a = _blocks(args.left_subject)[0]
+    _, b = _blocks(args.right_subject)[0]
     print("true" if are_isomorphic(a, b) else "false")
     return EXIT_OK
 
 
 def _cmd_mobius(args) -> int:
-    _, c = _first_block(args.source)
+    _, c = _blocks(args.source)[0]
     q = quotient_poset(c)
     for i, e in enumerate(q.elements):
         print(f"element\t{i}\t{_partition_text(e.partition)}")
@@ -327,8 +334,8 @@ def _cmd_mobius(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    _, c = _first_block(args.source)
-    _, a = _first_block(args.target)
+    _, c = _blocks(args.source)[0]
+    _, a = _blocks(args.target)[0]
     dec = kernel_decomposition(c, a, _system(args.system))
     print("partition\tblocks\tgeneric")
     for row in dec.rows:
@@ -344,14 +351,14 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_treewidth(args) -> int:
-    _, a = _first_block(args.subject)
+    _, a = _blocks(args.subject)[0]
     print(treewidth(a))
     return EXIT_OK
 
 
 def _cmd_ck(args) -> int:
-    name_a, a = _first_block(args.left_subject)
-    name_b, b = _first_block(args.right_subject)
+    name_a, a = _blocks(args.left_subject)[0]
+    name_b, b = _blocks(args.right_subject)[0]
     if args.method == "wl":
         equivalent = wl_equivalent(a, b, args.k)
         print(f"wl-oracle\t{'equivalent' if equivalent else 'inequivalent'}")
@@ -368,51 +375,35 @@ def _cmd_ck(args) -> int:
 
 def _cmd_trees(args) -> int:
     if args.tree_command == "count":
-        _, r = _first_block(args.source, parse_trees, "tree")
-        _, p = _first_block(args.target, parse_trees, "tree")
+        _, r = _blocks(args.source, parse_trees, "tree")[0]
+        _, p = _blocks(args.target, parse_trees, "tree")[0]
         print(count_tree_morphisms(r, p))
         return EXIT_OK
     if args.tree_command == "distinguish":
-        name_p, p = _first_block(args.left_subject, parse_trees, "tree")
-        name_q, q = _first_block(args.right_subject, parse_trees, "tree")
+        name_p, p = _blocks(args.left_subject, parse_trees, "tree")[0]
+        name_q, q = _blocks(args.right_subject, parse_trees, "tree")[0]
         res = distinguish_trees(p, q, args.budget)
         if res.distinguished:
             return _report_witness(write_tree("witness", res.witness), (name_p, name_q),
                                    res.counts)
         print(res.verdict)
         return EXIT_OK
-    name, spec = _first_block(args.spec, parse_tree_specs, "treespec")
+    name, spec = _blocks(args.spec, parse_tree_specs, "treespec")[0]
     sys.stdout.write(write_tree(name, truncate(spec, args.depth)))
     return EXIT_OK
 
 
-def _tower_from(path: str):
-    groups, towers = parse_groups_and_towers(_read(path))
-    if not towers:
-        raise ParseError(f"{path} contains no tower block")
-    name = next(iter(towers))
-    return name, towers[name]
-
-
-def _family_from(path: str):
-    groups, _ = parse_groups_and_towers(_read(path))
-    if not groups:
-        raise ParseError(f"{path} contains no group block")
-    return list(groups.items())
-
-
 def _cmd_tower(args) -> int:
     if args.tower_command == "count":
-        _, t = _tower_from(args.tower_file)
-        fam = _family_from(args.group_file)
-        _, c = fam[0]
+        _, t = _blocks(args.tower_file, _towers, "tower")[0]
+        _, c = _blocks(args.group_file, _groups, "group")[0]
         count, stabilized = continuous_hom_count(t, c)
         print(f"{count}\t{'stabilized' if stabilized else 'unstabilized'}")
         return EXIT_OK
     if args.tower_command == "distinguish":
-        name1, t1 = _tower_from(args.left_tower)
-        name2, t2 = _tower_from(args.right_tower)
-        fam = _family_from(args.family)
+        name1, t1 = _blocks(args.left_tower, _towers, "tower")[0]
+        name2, t2 = _blocks(args.right_tower, _towers, "tower")[0]
+        fam = _blocks(args.family, _groups, "group")
         res = distinguish_towers(t1, t2, [g for _, g in fam])
         for w in res.warnings:
             wname = next(n for n, g in fam if g == w)
@@ -422,8 +413,8 @@ def _cmd_tower(args) -> int:
             return _report_witness(f"witness\t{wname}\n", (name1, name2), res.counts)
         print(res.verdict)
         return EXIT_OK
-    _, t = _tower_from(args.tower_file)
-    fam = _family_from(args.family)
+    _, t = _blocks(args.tower_file, _towers, "tower")[0]
+    fam = _blocks(args.family, _groups, "group")
     flags = surjection_profile(t, [g for _, g in fam])
     for (name, _), flag in zip(fam, flags):
         print(f"{name}\t{'true' if flag else 'false'}")
@@ -461,20 +452,24 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
+    except InvariantViolationError:
+        return _internal_error()
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except HomcountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (HomcountError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:
-        import traceback  # here only: importing it costs every start-up a few ms
+        return _internal_error()
 
-        traceback.print_exc()
-        return EXIT_INTERNAL
+
+def _internal_error() -> int:
+    """Print the traceback of the exception being handled."""
+    import traceback  # here only: importing it costs every start-up a few ms
+
+    traceback.print_exc()
+    return EXIT_INTERNAL
 
 
 def main() -> None:

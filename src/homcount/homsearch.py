@@ -79,13 +79,9 @@ from .sigstruct import (
     MorphismClass,
     Structure,
     _check_same_signature,
+    _class_rules,
     reflects_relations,
 )
-
-
-# Enum attribute lookups are slow; the class rules run once per count.
-_MONO, _STRONG_MONO = MorphismClass.MONO, MorphismClass.STRONG_MONO
-_SURJECTION, _QUOTIENT = MorphismClass.SURJECTION, MorphismClass.QUOTIENT
 
 # The table path's size rule (module docstring): counts over at most this
 # many maps c -> a, |a|^|c| of them, take it.
@@ -539,14 +535,6 @@ def _last_masks(c: Structure, a: Structure, img: list[int],
             s = t
 
 
-def _class_rules(cls: MorphismClass, system: FactorisationSystem):
-    """(injective, surjective, needs_reflect) for the class."""
-    injective = cls is _MONO or cls is _STRONG_MONO
-    surjective = cls is _SURJECTION or cls is _QUOTIENT
-    needs_reflect = cls is _STRONG_MONO or (cls is _QUOTIENT and system is SE_M)
-    return injective, surjective, needs_reflect
-
-
 def _maps(c: Structure, a: Structure, injective: bool, surjective: bool,
           needs_reflect: bool):
     """Every map c -> a of the class with these rules as a raw index tuple,
@@ -595,7 +583,7 @@ def count_morphisms(
             if limit is not None and len(witnesses) >= limit:
                 truncated = True
             else:
-                witnesses.append(Morphism.build(c, a, f, system))
+                witnesses.append(Morphism.build(c, a, f))
     return CountResult(count, tuple(witnesses) if enumerate_witnesses else None, truncated)
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import InvariantViolationError
 from .homsearch import count_morphisms, iter_hom_maps
 from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult
-from .sigstruct import MorphismClass, Signature, Structure
+from .sigstruct import MorphismClass, Signature, Structure, is_homomorphism
 
 _GROUP_SIGNATURE = Signature((("M", 3),))
 
@@ -97,13 +97,11 @@ class GroupHom:
 
 
 def is_group_hom(f, g: FiniteGroup, c: FiniteGroup) -> bool:
+    """Is the total map f a homomorphism g -> c, that is, a homomorphism of
+    their multiplication graphs?"""
     if len(f) != g.order or any(not 0 <= v < c.order for v in f):
         return False
-    return all(
-        f[g.table[x][y]] == c.table[f[x]][f[y]]
-        for x in range(g.order)
-        for y in range(g.order)
-    )
+    return is_homomorphism(f, _as_structure(g), _as_structure(c))
 
 
 @lru_cache(maxsize=256)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import cap_exceeded
-from .sigstruct import Structure
+from .sigstruct import Structure, _image
 
 PARTITION_SIZE_CAP = 8
 
@@ -92,10 +92,7 @@ def collapse_structure(c: Structure, partition: Partition) -> tuple[Structure, t
     """Quotient of c by the partition: blocks become elements (ordered by
     least member), relations are images.  Returns (structure, projection)."""
     proj = block_labels(partition, c.size)
-    rels = tuple(
-        frozenset(tuple(proj[x] for x in t) for t in rel) for rel in c.relations
-    )
-    return Structure(c.signature, len(partition), rels), proj
+    return _image(c, proj, len(partition)), proj
 
 
 class FinitePoset:

@@ -49,6 +49,7 @@ from .sigstruct import (
     SE_M,
     Morphism,
     Structure,
+    _image,
     canonical_form,
     disjoint_union,
     embedding_class,
@@ -118,13 +119,6 @@ def _refine_to_singletons(classes, tests, side):
     return all(len(g) == 1 for g in groups), used, computed
 
 
-def _relabel(s: Structure, perm) -> Structure:
-    rels = tuple(
-        frozenset(tuple(perm[x] for x in t) for t in rel) for rel in s.relations
-    )
-    return Structure(s.signature, s.size, rels)
-
-
 def criterion_1_lovasz_completeness(level: str) -> tuple[bool, str]:
     max_size = 3 if level == "quick" else 4
     classes = enumerate_structures(GRAPH_SIGNATURE, max_size)
@@ -148,7 +142,7 @@ def criterion_1_lovasz_completeness(level: str) -> tuple[bool, str]:
         a = rng.choice(classes)
         perm = list(range(a.size))
         rng.shuffle(perm)
-        if not decide_isomorphic_by_counting(a, _relabel(a, perm)):
+        if not decide_isomorphic_by_counting(a, _image(a, perm, a.size)):
             return False, "relabeled pair not recognized as isomorphic"
     return True, "; ".join(details)
 

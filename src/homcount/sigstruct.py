@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SignatureMismatchError, cap_exceeded
@@ -157,6 +157,21 @@ def reflects_relations(f, c: Structure, a: Structure) -> bool:
     return True
 
 
+# Enum attribute lookups are slow; the class rule runs once per count.
+_MONO, _STRONG_MONO = MorphismClass.MONO, MorphismClass.STRONG_MONO
+_SURJECTION, _QUOTIENT = MorphismClass.SURJECTION, MorphismClass.QUOTIENT
+
+
+def _class_rules(cls: MorphismClass, system: FactorisationSystem):
+    """(injective, surjective, reflects) for the class: its maps are the
+    homomorphisms that are injective, surjective and reflect every relation
+    symbol where the rule asks for it."""
+    injective = cls is _MONO or cls is _STRONG_MONO
+    surjective = cls is _SURJECTION or cls is _QUOTIENT
+    reflects = cls is _STRONG_MONO or (cls is _QUOTIENT and system is SE_M)
+    return injective, surjective, reflects
+
+
 def validate_morphism(f, c: Structure, a: Structure, cls: MorphismClass,
                       system: FactorisationSystem = SE_M) -> bool:
     """True iff f is a homomorphism c -> a satisfying the class predicate.
@@ -169,59 +184,30 @@ def validate_morphism(f, c: Structure, a: Structure, cls: MorphismClass,
     f = tuple(f)
     if len(f) != c.size or any(not (0 <= y < a.size) for y in f):
         raise ValueError("f must be a total map from the universe of c into a")
-    if not is_homomorphism(f, c, a):
-        return False
-    if cls is MorphismClass.HOM:
-        return True
-    if cls is MorphismClass.MONO:
-        return len(set(f)) == c.size
-    if cls is MorphismClass.STRONG_MONO:
-        return len(set(f)) == c.size and reflects_relations(f, c, a)
-    surjective = len(set(f)) == a.size
-    if cls is MorphismClass.SURJECTION:
-        return surjective
-    if cls is MorphismClass.QUOTIENT:
-        if system is E_SM:
-            return surjective
-        return surjective and reflects_relations(f, c, a)
-    raise ValueError(f"unknown morphism class {cls}")
+    if not isinstance(cls, MorphismClass):
+        raise ValueError(f"unknown morphism class {cls}")
+    injective, surjective, reflects = _class_rules(cls, system)
+    return (is_homomorphism(f, c, a)
+            and (not injective or len(set(f)) == c.size)
+            and (not surjective or len(set(f)) == a.size)
+            and (not reflects or reflects_relations(f, c, a)))
 
 
 @dataclass(frozen=True)
 class Morphism:
-    """A verified homomorphism with its verified class tags.
-
-    Non-homomorphisms are rejected at construction; tags beyond `hom` are
-    exactly the classes the map validates (quotient judged in `system`).
-    """
+    """A verified homomorphism; non-homomorphisms are rejected at
+    construction."""
 
     domain: Structure
     codomain: Structure
     map: tuple[int, ...]
-    class_tags: frozenset[MorphismClass] = field(compare=False)
 
     @staticmethod
-    def build(domain: Structure, codomain: Structure, f,
-              system: FactorisationSystem = SE_M) -> Morphism:
+    def build(domain: Structure, codomain: Structure, f) -> Morphism:
         f = tuple(f)
         if not validate_morphism(f, domain, codomain, MorphismClass.HOM):
             raise ValueError(f"{f} is not a homomorphism")
-        # The class predicates of validate_morphism, sharing one pass each.
-        image = len(set(f))
-        injective = image == domain.size
-        surjective = image == codomain.size
-        reflects = (injective or (surjective and system is SE_M)) and \
-            reflects_relations(f, domain, codomain)
-        tags = {MorphismClass.HOM}
-        if injective:
-            tags.add(MorphismClass.MONO)
-            if reflects:
-                tags.add(MorphismClass.STRONG_MONO)
-        if surjective:
-            tags.add(MorphismClass.SURJECTION)
-            if system is E_SM or reflects:
-                tags.add(MorphismClass.QUOTIENT)
-        return Morphism(domain, codomain, f, frozenset(tags))
+        return Morphism(domain, codomain, f)
 
 
 def disjoint_union(a: Structure, b: Structure) -> Structure:
@@ -232,6 +218,13 @@ def disjoint_union(a: Structure, b: Structure) -> Structure:
         for ra, rb in zip(a.relations, b.relations)
     )
     return Structure(a.signature, a.size + b.size, rels)
+
+
+def _image(s: Structure, proj, size: int) -> Structure:
+    """The structure on 0..size-1 whose relations are the images of s's
+    tuples along proj."""
+    return Structure(s.signature, size, tuple(
+        frozenset(tuple(proj[x] for x in t) for t in rel) for rel in s.relations))
 
 
 def _merge_projection(n: int, pairs) -> list[int]:
@@ -264,16 +257,10 @@ def pushout(f: Morphism, g: Morphism):
     if f.domain != g.domain:
         raise ValueError("pushout legs must share their domain")
     a, b, c = f.codomain, g.codomain, f.domain
-    _check_same_signature(a, b)
-
+    u = disjoint_union(a, b)
     proj = _merge_projection(
-        a.size + b.size, ((f.map[x], a.size + g.map[x]) for x in range(c.size)))
-    rels = tuple(
-        frozenset(tuple(proj[x] for x in t) for t in ra)
-        | frozenset(tuple(proj[x + a.size] for x in t) for t in rb)
-        for ra, rb in zip(a.relations, b.relations)
-    )
-    p = Structure(a.signature, len(set(proj)), rels)
+        u.size, ((f.map[x], a.size + g.map[x]) for x in range(c.size)))
+    p = _image(u, proj, len(set(proj)))
     into_a = Morphism.build(a, p, tuple(proj[:a.size]))
     into_b = Morphism.build(b, p, tuple(proj[a.size:]))
     return p, into_a, into_b

@@ -94,30 +94,6 @@ def chain_tree(n: int) -> FiniteTree:
     return FiniteTree(n, tuple([-1] + list(range(n - 1))) if n else ())
 
 
-@dataclass(frozen=True)
-class TreeMorphism:
-    domain: FiniteTree
-    codomain: FiniteTree
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        if not is_tree_morphism(self.map, self.domain, self.codomain):
-            raise ValueError("not a tree morphism")
-
-
-def is_tree_morphism(f, r: FiniteTree, p: FiniteTree) -> bool:
-    """Root to root; u covered by v forces f(u) covered by f(v)."""
-    if r.size == 0:
-        return len(f) == 0
-    if p.size == 0 or len(f) != r.size:
-        return False
-    if f[r.root] != p.root:
-        return False
-    return all(
-        p.parent[f[v]] == f[r.parent[v]] for v in range(r.size) if v != r.root
-    )
-
-
 def count_tree_morphisms(r: FiniteTree, p: FiniteTree) -> int:
     """Dynamic program from the leaves up: a node mapped to x sends each
     child to some child of x, independently.  ways[u][x] counts the maps of

@@ -6,6 +6,7 @@ import pytest
 import homcount.cli
 import homcount.selftest
 from homcount.cli import EXIT_INTERNAL, run
+from homcount.errors import InvariantViolationError
 
 C6_TEXT = """\
 signature E/2
@@ -414,6 +415,31 @@ def test_internal_error_exit_4_with_traceback(files, capsys, monkeypatch):
     assert code == EXIT_INTERNAL == 4
     assert out == ""
     assert "Traceback" in err and "RuntimeError: broken handler" in err
+
+
+def test_failed_internal_check_exit_4_with_traceback(files, capsys, monkeypatch):
+    # A failed internal check (InvariantViolationError) is an internal
+    # error, not a usage error.
+    def broken(args):
+        raise InvariantViolationError("kernel rows do not add up")
+
+    monkeypatch.setitem(homcount.cli._HANDLERS, "kernel", broken)
+    a = files("k3.struct", K3_TEXT)
+    code, out, err = invoke(["kernel", a, a], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err and "InvariantViolationError: kernel rows do not add up" in err
+
+
+@pytest.mark.parametrize("command", ["distinguish", "mobius"])
+def test_system_is_not_an_option_of_distinguish_or_mobius_exit_2(files, capsys, command):
+    a = files("k3.struct", K3_TEXT)
+    argv = [command, "--system", "e-sm"] + (
+        ["--budget", "2", a, a] if command == "distinguish" else [a])
+    code, out, err = invoke(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--system" in err
 
 
 def test_failed_selftest_exit_4(capsys, monkeypatch):

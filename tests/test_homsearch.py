@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
-from homcount import homsearch
+from homcount import homsearch, sigstruct
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
 from homcount.lovasz import LEFT, _structures_of_size, decide_isomorphic_by_counting, hom_profile
 from homcount.selftest import full_acceptance
@@ -79,6 +79,20 @@ def test_enumeration_matches_naive_maps(single_arc, k3):
     assert got == sorted(naive_morphisms(single_arc, k3))
     assert res.count == len(res.witnesses)
     assert not res.truncated
+
+
+def test_listing_hom_witnesses_checks_no_reflection(monkeypatch, k3):
+    # A HOM witness is checked as a homomorphism only: the bijections of
+    # k3 -> k3 and the surjections onto K2 call no reflection check.
+    def refuse(*args):
+        raise AssertionError("reflects_relations called")
+
+    monkeypatch.setattr(sigstruct, "reflects_relations", refuse)
+    for system in (SE_M, E_SM):
+        for c, a in ((k3, k3), (path_sym(3), k3), (k3, complete_sym(2)),
+                     (cycle_sym(4), complete_sym(2))):
+            res = count_morphisms(c, a, CLS.HOM, system, enumerate_witnesses=True)
+            assert sorted(m.map for m in res.witnesses) == sorted(naive_morphisms(c, a))
 
 
 def test_enumeration_limit_flags_truncation(k3):

@@ -16,6 +16,7 @@ from homcount.profinite import (
     enumerate_group_homs,
     groups_isomorphic,
     has_surjection,
+    is_group_hom,
     mod_surjection,
     surjection_profile,
     towers_isomorphic,
@@ -122,6 +123,21 @@ def test_hom_counts_match_naive_oracle():
             onto = any(len(set(f)) == c.order for f in naive)
             assert has_surjection(g, c) == onto
             assert groups_isomorphic(g, c) == (onto and g.order == c.order)
+
+
+def test_is_group_hom_matches_the_cayley_table_oracle():
+    # Every map between groups of order <= 6, the non-abelian S3 included.
+    groups = [Z1, Z2, Z3, Z4, V4, cyclic_group(5), direct_product(Z2, Z3), S3]
+    checked = 0
+    for g in groups:
+        for c in groups:
+            homs = set(naive_group_homs(g, c))
+            for f in itertools.product(range(c.order), repeat=g.order):
+                assert is_group_hom(f, g, c) == (f in homs), (g.name, c.name, f)
+                checked += 1
+    assert checked > 250_000
+    assert not is_group_hom((0, 0), Z3, Z2)
+    assert not is_group_hom((0, 2), Z2, Z2)
 
 
 def test_non_abelian_hom_counts():

@@ -9,7 +9,6 @@ from homcount.trees import (
     FiniteTree,
     TRUNCATION_NODE_CAP,
     RationalTreeSpec,
-    TreeMorphism,
     chain_tree,
     count_tree_morphisms,
     distinguish_trees,
@@ -90,11 +89,6 @@ def test_morphisms_preserve_depth():
             dr, dp = r.depths(), p.depths()
             for f in naive_tree_morphisms(r, p):
                 assert all(dp[f[v]] == dr[v] for v in range(r.size))
-
-
-def test_tree_morphism_rejects_non_morphism():
-    with pytest.raises(ValueError):
-        TreeMorphism(chain_tree(2), chain_tree(2), (0, 0))
 
 
 def test_chain_counts_nodes_at_depth():
