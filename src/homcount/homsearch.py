@@ -11,14 +11,20 @@ it, from (symbol, positions of the new variable) and the values already
 bound at the other positions to the int bitmask of values the new variable
 may take.  A step intersects those masks.  Injective classes mask out the
 values already used; the surjective classes mask to the uncovered values
-once as many remain as there are steps left.  The relation-reflection
-conditions (strong-mono, SE_M quotient) are non-monotone under partial
-assignment and are checked on complete maps only.  A count that needs no
-such check adds the popcount of the last step's mask instead of visiting its
-maps.
+once as many remain as there are steps left.  An injective homomorphism
+reflects every relation exactly when it sends no non-tuple of the pattern (a
+tuple of its variables outside the relation) into the target's relation.
+That condition is monotone: a partial map that breaks it has no extension
+that repairs it.  So strong-mono steps also AND the complements of the
+target's masks for the non-tuples completed there.  For a surjective map
+reflection is not monotone (a later value can still cover a target tuple),
+so the SE_M quotients are checked on complete maps only.  A count that needs
+no such check adds the popcount of the last step's mask instead of visiting
+its maps.
 
 One rule (`_counter`) chooses the path of a count with no witnesses and no
-reflection check, from the sizes and the pattern's frontier width:
+reflection check on complete maps, from the sizes and the pattern's frontier
+width:
 
 * The table path, when the count ranges over few maps: |a|^|c| <=
   `_TABLE_MAPS`.  Every map c -> a is one bit of an int.  The bitsets that
@@ -27,12 +33,13 @@ reflection check, from the sizes and the pattern's frontier width:
   target's record keeps, per pattern size, the set of maps that send each
   tuple of pattern variables into a's relation.  The count is the popcount
   of the AND of c's tuple sets and the class's injective or surjective set.
-  The pattern needs no record at all.  The constant is the measured
-  crossover of one count into a fresh target (random `E/2` and `E/2,R/3`
-  structures, 2 cores, Python 3.11): the table path was ahead at every
-  measured size up to 4,096 maps, even or mixed from 6,561 to 7,776 and
-  behind from 15,625 on.  Counting 20 patterns into one target, it stayed
-  ahead through 16,384 maps.
+  A strong-mono count also ANDs the complements of the sets of c's
+  non-tuples.  The pattern needs no record at all.  The constant is the
+  measured crossover of one count into a fresh target (random `E/2` and
+  `E/2,R/3` structures, 2 cores, Python 3.11): the table path was ahead at
+  every measured size up to 4,096 maps, even or mixed from 6,561 to 7,776
+  and behind from 15,625 on.  Counting 20 patterns into one target, it
+  stayed ahead through 16,384 maps.
 * The frontier DP, for larger plain homomorphism counts of patterns with
   at most `_FRONTIER_SIZE` (10) elements whose frontier stays narrow: 2w <
   |c|.  The frontier after a step is the variables assigned so far that
@@ -57,8 +64,8 @@ reflection check, from the sizes and the pattern's frontier width:
   targets.  A 9-element path into G(40, 0.3), which the search did not
   count in 300 s, takes milliseconds.
 * The search, for every other count: the injective and surjective classes,
-  larger or wider patterns.  Witness listing, `iter_hom_maps` and
-  the reflection classes always take it.
+  larger or wider patterns.  Witness listing, `iter_hom_maps` and the SE_M
+  quotients always take it.
 
 Maps are listed in lexicographic order of their values along the search's
 variable order.  Counts are plain Python integers, so they stay exact past
@@ -70,6 +77,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 from .sigstruct import (
@@ -114,7 +122,11 @@ class _Record:
     stays), the tuples completed at step s as above, but each other
     variable by its index in the frontier before step s; `keep`, the
     itemgetter of the frontier values that stay; `stays`, whether the new
-    variable joins the frontier.
+    variable joins the frontier.  `absent` is `steps` for the non-tuples
+    (the tuples of variables outside a relation), along the same `order`:
+    an injective homomorphism reflects every relation exactly when it sends
+    none of them into the target's relation, so the strong-mono search
+    masks out, at each step, the values that would.
     Each plan is compiled the first time a count reads it, so a structure
     used only as a target never pays for them.
 
@@ -125,12 +137,12 @@ class _Record:
     the table path.
     """
 
-    __slots__ = ("structure", "_order", "_steps", "_walk", "_frontier", "_index",
-                 "tuple_masks")
+    __slots__ = ("structure", "_order", "_steps", "_absent", "_walk", "_frontier",
+                 "_index", "tuple_masks")
 
     def __init__(self, s: Structure):
         self.structure = s
-        self._order = self._steps = self._walk = self._frontier = None
+        self._order = self._steps = self._absent = self._walk = self._frontier = None
         self._index = {}
         self.tuple_masks = {}
 
@@ -155,7 +167,17 @@ class _Record:
                     degree[x] += 1
         order = tuple(sorted(range(s.size), key=lambda x: (-degree[x], x)))
         self._order = order
-        self._steps = _step_tuples(s, order, lambda step, x: x)
+        self._steps = _step_tuples(s.relations, order, lambda step, x: x)
+
+    @property
+    def absent(self):
+        if self._absent is None:
+            s = self.structure
+            non_tuples = [[t for t in product(range(s.size), repeat=arity)
+                           if t not in rel]
+                          for (_, arity), rel in zip(s.signature.symbols, s.relations)]
+            self._absent = _step_tuples(non_tuples, self.order, lambda step, x: x)
+        return self._absent
 
     @property
     def walk(self):
@@ -181,7 +203,7 @@ class _Record:
                 fronts.append(frontier)
                 stays.append(v in after)
                 frontier = after
-            steps = _step_tuples(self.structure, order,
+            steps = _step_tuples(self.structure.relations, order,
                                  lambda step, x: fronts[step].index(x))
             self._frontier = tuple(zip(steps, keeps, stays))
         return self._frontier
@@ -315,20 +337,21 @@ def _frontier_walk(s: Structure):
     return width, order, nbrs
 
 
-def _step_tuples(s: Structure, order, address):
-    """Per step of the variable order, the tuples of s that become fully
+def _step_tuples(relations, order, address):
+    """Per step of the variable order, the tuples of the relations (one
+    collection per symbol, over the variables of `order`) that become fully
     assigned there, each by the key of its target table, in three groups:
     keys of tuples with no other variable; (key, address) for one other
     position; (key, itemgetter of the addresses) for two or more.
     `address(step, x)` says where that step reads the value of an earlier
     variable x.  A key packs the symbol index and the bitmask of the
     positions of the step's variable into one int."""
-    rank = [0] * s.size
+    rank = [0] * len(order)
     for i, x in enumerate(order):
         rank[x] = i
-    nsym = len(s.relations)
+    nsym = len(relations)
     steps = [([], [], []) for _ in order]
-    for sym, rel in enumerate(s.relations):
+    for sym, rel in enumerate(relations):
         for t in rel:
             v = t[0]
             for x in t:
@@ -360,10 +383,12 @@ def _search_plan(s: Structure) -> _Record:
 
 
 def _table_count(c: Structure, a: Structure, injective: bool,
-                 surjective: bool) -> int:
-    """The count of maps c -> a of the class with these rules that need no
-    reflection check, as the popcount of the AND of c's tuple masks (and the
-    class mask).  Needs c.size >= 1."""
+                 surjective: bool, reflects: bool) -> int:
+    """The count of maps c -> a of the class with these rules, as the
+    popcount of the AND of c's tuple masks, the class mask and, for an
+    injective class that reflects, the complements of the masks of c's
+    non-tuples (the reflection check of a surjective class is not done
+    here).  Needs c.size >= 1."""
     n, m = c.size, a.size
     if m == 0 or (injective and n > m) or (surjective and m > n):
         return 0
@@ -382,34 +407,68 @@ def _table_count(c: Structure, a: Structure, injective: bool,
             mask &= bits
             if not mask:
                 return 0
+    if injective and reflects:
+        for sym, ((_, arity), rel) in enumerate(zip(c.signature.symbols, c.relations)):
+            seen = known[sym]
+            for t in product(range(n), repeat=arity):
+                if t not in rel:
+                    bits = seen.get(t)
+                    if bits is None:
+                        bits = seen[t] = _tuple_mask(proj, a.relations[sym], t)
+                    mask &= ~bits
+            if not mask:
+                return 0
     return mask.bit_count()
 
 
-def _bind(steps, a: Structure):
+def _bind(steps, a: Structure, absent=None):
     """The steps of a plan with a's tables in place of their keys: per step,
     (the AND of its static masks, [(tuple table, address)], [(dict table,
-    getter)]).  None when some step's static tuples admit no value."""
+    getter, mask of a missing key)]).  `absent`, a plan of non-tuples in the
+    same form, adds the complements of its tables, which mask out the values
+    that send a non-tuple into a's relation; a missing dict key forbids no
+    value.  None when some step's static tuples admit no value."""
     table = _search_plan(a).table
     full = (1 << a.size) - 1
+    flipped = {}  # key -> the complement of its table
+
+    def flip(key):
+        tab = flipped.get(key)
+        if tab is None:
+            tab = table(key)
+            if isinstance(tab, dict):
+                tab = {k: ~bits for k, bits in tab.items()}
+            else:
+                tab = tuple(~bits for bits in tab)
+            flipped[key] = tab
+        return tab
+
     bound = []
-    for statics, ones, manys in steps:
+    for step, (statics, ones, manys) in enumerate(steps):
         base = full
         for key in statics:
             base &= table(key)
+        ones = [(table(key), x) for key, x in ones]
+        manys = [(table(key), get, 0) for key, get in manys]
+        if absent is not None:
+            statics, others, more = absent[step]
+            for key in statics:
+                base &= ~table(key)
+            ones += [(flip(key), x) for key, x in others]
+            manys += [(flip(key), get, -1) for key, get in more]
         if not base:
             return None
-        bound.append((base, [(table(key), x) for key, x in ones],
-                      [(table(key), get) for key, get in manys]))
+        bound.append((base, ones, manys))
     return bound
 
 
 def _frontier_count(c: Structure, a: Structure, injective: bool = False,
-                    surjective: bool = False) -> int:
+                    surjective: bool = False, reflects: bool = False) -> int:
     """The number of homomorphisms c -> a by dynamic programming along c's
     frontier plan: the state after step s maps the values of the frontier
     to the number of partial maps that reach them.  Variable elimination
     along the reverse order, with bags the frontier plus the new variable.
-    Plain homomorphisms only (the class rules must both be false).  Needs
+    Plain homomorphisms only (the class rules must all be false).  Needs
     c.size >= 1."""
     table = _search_plan(a).table
     # A tuple on one variable (a loop) binds in every order: if the target
@@ -432,8 +491,8 @@ def _frontier_count(c: Structure, a: Structure, injective: bool = False,
             mask = base
             for tab, i in ones:
                 mask &= tab[values[i]]
-            for tab, get in manys:
-                mask &= tab.get(get(values), 0)
+            for tab, get, miss in manys:
+                mask &= tab.get(get(values), miss)
             if not mask:
                 continue
             values = keep(values)
@@ -457,18 +516,19 @@ def _frontier_count(c: Structure, a: Structure, injective: bool = False,
 
 
 def _search_count(c: Structure, a: Structure, injective: bool,
-                  surjective: bool) -> int:
-    """The count of maps c -> a of the class with these rules that need no
-    reflection check, as the sum of the popcounts of the search's last
-    masks.  Needs c.size >= 1."""
-    return sum(map(int.bit_count, _last_masks(c, a, [0] * c.size, injective, surjective)))
+                  surjective: bool, reflects: bool) -> int:
+    """The count of maps c -> a of the class with these rules, as the sum of
+    the popcounts of the search's last masks (the reflection check of a
+    surjective class is not done here).  Needs c.size >= 1."""
+    masks = _last_masks(c, a, [0] * c.size, injective, surjective, reflects)
+    return sum(map(int.bit_count, masks))
 
 
 def _counter(c: Structure, a: Structure, injective: bool, surjective: bool):
     """The one rule choosing the path of a count with no witnesses and no
-    reflection check (module docstring): the table path, the frontier DP
-    or the search, as the function to call with (c, a, injective,
-    surjective).  Needs c.size >= 1."""
+    reflection check on complete maps (module docstring): the table path,
+    the frontier DP or the search, as the function to call with (c, a,
+    injective, surjective, reflects).  Needs c.size >= 1."""
     n = c.size
     if a.size ** n <= _TABLE_MAPS:
         return _table_count
@@ -479,15 +539,17 @@ def _counter(c: Structure, a: Structure, injective: bool, surjective: bool):
 
 
 def _last_masks(c: Structure, a: Structure, img: list[int],
-                injective: bool, surjective: bool):
+                injective: bool, surjective: bool, reflects: bool):
     """The search.  For every assignment of all but the last variable of c
     that passes every check, leave it in img and yield the nonzero bitmask of
-    values the last variable may take.  Needs c.size >= 1."""
+    values the last variable may take.  An injective class that reflects
+    masks out the values that send a non-tuple of c into a's relation; a
+    surjective one is left to the caller.  Needs c.size >= 1."""
     n, m = c.size, a.size
     if (surjective and m > n) or (injective and n > m):
         return
     plan = _search_plan(c)
-    bound = _bind(plan.steps, a)
+    bound = _bind(plan.steps, a, plan.absent if injective and reflects else None)
     if bound is None:  # no value fits some step's tuples on their own
         return
 
@@ -515,8 +577,8 @@ def _last_masks(c: Structure, a: Structure, img: list[int],
         mask, ones, manys = bound[t]
         for tab, x in ones:
             mask &= tab[img[x]]
-        for tab, get in manys:
-            mask &= tab.get(get(img), 0)
+        for tab, get, miss in manys:
+            mask &= tab.get(get(img), miss)
         if track:
             seen = taken[s]
             taken[t] = seen | low
@@ -536,23 +598,25 @@ def _last_masks(c: Structure, a: Structure, img: list[int],
 
 
 def _maps(c: Structure, a: Structure, injective: bool, surjective: bool,
-          needs_reflect: bool):
+          reflects: bool):
     """Every map c -> a of the class with these rules as a raw index tuple,
-    in listing order."""
+    in listing order.  The search prunes the injective maps that do not
+    reflect; a surjective map is checked once complete."""
     n, m = c.size, a.size
     if n == 0:
         if not surjective or m == 0:
             yield ()
         return
+    check = reflects and surjective
     img = [0] * n
     v = _search_plan(c).order[-1]
-    for mask in _last_masks(c, a, img, injective, surjective):
+    for mask in _last_masks(c, a, img, injective, surjective, reflects):
         while mask:
             low = mask & -mask
             mask ^= low
             img[v] = low.bit_length() - 1
             f = tuple(img)
-            if not needs_reflect or reflects_relations(f, c, a):
+            if not check or reflects_relations(f, c, a):
                 yield f
 
 
@@ -569,15 +633,15 @@ def count_morphisms(
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 when given")
 
-    injective, surjective, needs_reflect = _class_rules(cls, system)
-    if not enumerate_witnesses and not needs_reflect and c.size > 0:
+    injective, surjective, reflects = _class_rules(cls, system)
+    if not enumerate_witnesses and not (reflects and surjective) and c.size > 0:
         path = _counter(c, a, injective, surjective)
-        return CountResult(path(c, a, injective, surjective))
+        return CountResult(path(c, a, injective, surjective, reflects))
 
     count = 0
     witnesses = []
     truncated = False
-    for f in _maps(c, a, injective, surjective, needs_reflect):
+    for f in _maps(c, a, injective, surjective, reflects):
         count += 1
         if enumerate_witnesses:
             if limit is not None and len(witnesses) >= limit:
@@ -587,11 +651,12 @@ def count_morphisms(
     return CountResult(count, tuple(witnesses) if enumerate_witnesses else None, truncated)
 
 
-def iter_hom_maps(c: Structure, a: Structure):
-    """Yield every homomorphism c -> a as a raw index tuple (no Morphism
+def iter_hom_maps(c: Structure, a: Structure, cls: MorphismClass = MorphismClass.HOM,
+                  system: FactorisationSystem = SE_M):
+    """Yield every map c -> a of the class as a raw index tuple (no Morphism
     construction), in the order count_morphisms lists them."""
     _check_same_signature(c, a)
-    yield from _maps(c, a, False, False, False)
+    yield from _maps(c, a, *_class_rules(cls, system))
 
 
 def hom_count(c: Structure, a: Structure) -> int:

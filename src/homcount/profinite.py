@@ -217,9 +217,8 @@ def towers_isomorphic(t1: Tower, t2: Tower) -> bool:
         return False
     top1, top2 = t1.levels[-1], t2.levels[-1]
     steps = list(zip(t1.connecting, t2.connecting))[::-1]
-    for f in iter_hom_maps(_as_structure(top1), _as_structure(top2)):
-        if len(set(f)) < top2.order:
-            continue
+    # injective homs between groups of equal order: the isomorphisms
+    for f in iter_hom_maps(_as_structure(top1), _as_structure(top2), MorphismClass.MONO):
         for p1, p2 in steps:
             f = _push_down(f, p1, p2)
             if f is None:

@@ -81,18 +81,55 @@ def test_enumeration_matches_naive_maps(single_arc, k3):
     assert not res.truncated
 
 
+def spy_reflection(monkeypatch):
+    """Wrap the leaf check `reflects_relations` under both of its bindings,
+    in `sigstruct` and in `homsearch`; the returned list counts its calls."""
+    calls = [0]
+    real = sigstruct.reflects_relations
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sigstruct, "reflects_relations", counted)
+    monkeypatch.setattr(homsearch, "reflects_relations", counted)
+    return calls
+
+
 def test_listing_hom_witnesses_checks_no_reflection(monkeypatch, k3):
     # A HOM witness is checked as a homomorphism only: the bijections of
     # k3 -> k3 and the surjections onto K2 call no reflection check.
-    def refuse(*args):
-        raise AssertionError("reflects_relations called")
-
-    monkeypatch.setattr(sigstruct, "reflects_relations", refuse)
+    calls = spy_reflection(monkeypatch)
     for system in (SE_M, E_SM):
         for c, a in ((k3, k3), (path_sym(3), k3), (k3, complete_sym(2)),
                      (cycle_sym(4), complete_sym(2))):
             res = count_morphisms(c, a, CLS.HOM, system, enumerate_witnesses=True)
             assert sorted(m.map for m in res.witnesses) == sorted(naive_morphisms(c, a))
+    assert calls == [0]
+
+
+def test_strong_monos_prune_reflection_in_the_search(monkeypatch):
+    # Strong monos are pruned step by step, on the table path and in the
+    # search, so no complete map reaches the leaf check; SE_M quotients
+    # still take it, once per surjective homomorphism.
+    calls = spy_reflection(monkeypatch)
+    rng = random.Random(31)
+    pairs = [(random_digraph(rng, n, 0.3), random_digraph(rng, m, 0.5))
+             for n, m in ((3, 4), (4, 4), (5, 7), (6, 6))]
+    assert any(m.size ** c.size > homsearch._TABLE_MAPS for c, m in pairs)
+    for c, a in pairs:
+        for system in (SE_M, E_SM):
+            expected = naive_count(c, a, CLS.STRONG_MONO, system)
+            assert count_morphisms(c, a, CLS.STRONG_MONO, system).count == expected
+            res = count_morphisms(c, a, CLS.STRONG_MONO, system, enumerate_witnesses=True)
+            assert res.count == len(res.witnesses) == expected
+            assert len(list(iter_hom_maps(c, a, CLS.STRONG_MONO, system))) == expected
+    assert calls == [0]
+    c, a = cycle_sym(6), complete_sym(3)
+    surjections = count_morphisms(c, a, CLS.SURJECTION).count
+    assert surjections == 60
+    assert count_morphisms(c, a, CLS.QUOTIENT, SE_M).count == naive_count(c, a, CLS.QUOTIENT, SE_M)
+    assert calls == [surjections]
 
 
 def test_enumeration_limit_flags_truncation(k3):
@@ -241,10 +278,10 @@ def test_long_path_into_k2():
     assert {f[:2] for f in maps} == {(0, 1), (1, 0)}
 
 
-# The classes that count without a reflection check, which the table path
-# serves below its size rule.
+# The classes that count without a reflection check on complete maps, which
+# the table path serves below its size rule.
 TABLE_CLASSES = ((CLS.HOM, SE_M), (CLS.MONO, SE_M), (CLS.SURJECTION, SE_M),
-                 (CLS.QUOTIENT, E_SM))
+                 (CLS.QUOTIENT, E_SM), (CLS.STRONG_MONO, SE_M), (CLS.STRONG_MONO, E_SM))
 
 
 def random_structure(rng, signature, n, p):
@@ -294,6 +331,60 @@ def test_table_counts_match_naive_oracle():
             got = count_morphisms(c, a, cls, system).count
             assert got == naive_count(c, a, cls, system), (c, a, cls, system)
     assert below and above
+
+
+def _with_loops(rng, s):
+    """s with a tuple on one element added to each symbol, at a random
+    element (s unchanged when it has none)."""
+    if not s.size:
+        return s
+    rels = {name: set(rel) | {(rng.randrange(s.size),) * arity}
+            for (name, arity), rel in zip(s.signature.symbols, s.relations)}
+    return Structure.build(s.signature, s.size, rels)
+
+
+def _induced(rng, a, n):
+    """The substructure of a induced on n of its elements, chosen at random
+    and numbered in their order in a: it has a strong mono into a."""
+    keep = sorted(rng.sample(range(a.size), n))
+    index = {x: i for i, x in enumerate(keep)}
+    rels = {name: {tuple(index[x] for x in t) for t in rel if all(x in index for x in t)}
+            for (name, _), rel in zip(a.signature.symbols, a.relations)}
+    return Structure.build(a.signature, n, rels)
+
+
+def test_strong_mono_counts_and_listings_match_naive_oracle():
+    # Both sides of the table path's size rule, binary and mixed arity, with
+    # loops in the pattern, the target, both or neither, and patterns
+    # induced in their targets, so that some counts are nonzero.  The
+    # listing is the MONO listing with the maps that do not reflect left
+    # out, in its order.
+    rng = random.Random("strong")
+    pairs = _table_pairs()
+    pairs += [(_with_loops(rng, c), a) for c, a in pairs[::3]]
+    pairs += [(c, _with_loops(rng, a)) for c, a in pairs[1::3]]
+    pairs += [(_with_loops(rng, c), _with_loops(rng, a)) for c, a in pairs[2::3]]
+    for signature in (GRAPH_SIGNATURE, MIXED, BINARY_TERNARY):
+        for n, m in ((3, 5), (4, 9), (5, 6), (5, 7)):
+            for p in (0.02, 0.15, 0.4):
+                a = random_structure(rng, signature, m, p)
+                pairs += [(_induced(rng, a, n), a), (_induced(rng, a, n), _with_loops(rng, a))]
+    below = above = nonzero = 0
+    for c, a in pairs:
+        if a.size ** c.size <= homsearch._TABLE_MAPS:
+            below += 1
+        else:
+            above += 1
+        monos = list(iter_hom_maps(c, a, CLS.MONO))
+        for system in (SE_M, E_SM):
+            expected = set(naive_morphisms(c, a, CLS.STRONG_MONO, system))
+            assert count_morphisms(c, a, CLS.STRONG_MONO, system).count == len(expected)
+            listed = [m.map for m in count_morphisms(c, a, CLS.STRONG_MONO, system,
+                                                     enumerate_witnesses=True).witnesses]
+            assert listed == [f for f in monos if f in expected], (c, a, system)
+            assert list(iter_hom_maps(c, a, CLS.STRONG_MONO, system)) == listed
+        nonzero += bool(expected)
+    assert below and above and nonzero
 
 
 COUNTING_PATHS = ("_table_count", "_search_count", "_frontier_count")
