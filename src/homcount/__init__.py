@@ -52,16 +52,13 @@ from .trees import (
     count_tree_morphisms,
     distinguish_trees,
     enumerate_trees,
-    longest_root_chain,
     truncate,
 )
 from .cklogic import (
     CkVerdict,
     TreeDecomposition,
-    add_identity_relation,
     ck_profile_equal,
     enumerate_tw_lt_k,
-    quotient_by_I,
     tree_decomposition,
     treewidth,
     wl_equivalent,

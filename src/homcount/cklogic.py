@@ -1,6 +1,6 @@
 """Counting-logic equivalence machinery: exact tree-width, enumeration of
 tree-width-bounded test structures, a Weisfeiler-Leman oracle, hom-profile
-comparison, and the identity-relation adjunction.
+comparison.
 
 Tree-width of a structure is the tree-width of its Gaifman graph (each
 relation tuple turns into a clique on its elements).  Equivalence in
@@ -20,7 +20,7 @@ from functools import lru_cache
 from .errors import cap_exceeded
 from .homsearch import hom_count
 from .lovasz import _candidate_counts, _capped_sizes, _catalogue, _structures_of_size
-from .sigstruct import Signature, Structure, _check_same_signature, _image, _merge_projection
+from .sigstruct import Signature, Structure, _check_same_signature
 from .trees import _encodings_of_size, _rooted_tree_counts, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
@@ -328,27 +328,3 @@ def ck_profile_equal(a: Structure, b: Structure, k: int, budget: int,
         if na != nb:
             return CkVerdict(False, test, (na, nb))
     return CkVerdict(True)
-
-
-def add_identity_relation(a: Structure) -> Structure:
-    """Same universe and relations plus I interpreted as the identity."""
-    if "I" in a.signature.names:
-        raise ValueError("signature already contains the symbol I")
-    sig = Signature(a.signature.symbols + (("I", 2),))
-    rels = a.relations + (frozenset((x, x) for x in range(a.size)),)
-    return Structure(sig, a.size, rels)
-
-
-def quotient_by_I(b: Structure) -> Structure:
-    """Collapse along the equivalence relation generated by I; relations of
-    the I-free reduct are images."""
-    if "I" not in b.signature.names:
-        raise ValueError("signature must contain the symbol I")
-    i_idx = b.signature.index("I")
-    if b.signature.symbols[i_idx][1] != 2:
-        raise ValueError("I must be binary")
-    proj = _merge_projection(b.size, b.relations[i_idx])
-    reduct = Structure(
-        Signature(b.signature.symbols[:i_idx] + b.signature.symbols[i_idx + 1:]),
-        b.size, b.relations[:i_idx] + b.relations[i_idx + 1:])
-    return _image(reduct, proj, len(set(proj)))

@@ -27,14 +27,7 @@ from .homsearch import count_morphisms
 from .lovasz import LEFT, RIGHT, distinguish, enumerate_structures, hom_profile
 from .profinite import continuous_hom_count, distinguish_towers, surjection_profile
 from .quotposet import quotient_poset
-from .sigstruct import (
-    E_SM,
-    SE_M,
-    FactorisationSystem,
-    MorphismClass,
-    are_isomorphic,
-    canonical_form,
-)
+from .sigstruct import FactorisationSystem, MorphismClass, are_isomorphic, canonical_form
 from .stirling import kernel_decomposition, stirling_number
 from .trees import count_tree_morphisms, distinguish_trees, truncate
 
@@ -77,14 +70,6 @@ def _report_witness(block: str, names, counts) -> int:
     for name, count in zip(names, counts):
         print(f"count\t{name}\t{count}")
     return EXIT_DISTINGUISHED
-
-
-def _system(text: str) -> FactorisationSystem:
-    return SE_M if text == "se-m" else E_SM
-
-
-def _class(text: str) -> MorphismClass:
-    return MorphismClass(text)
 
 
 def _partition_text(partition) -> str:
@@ -275,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> int:
     _, c = _blocks(args.source)[0]
     _, a = _blocks(args.target)[0]
-    res = count_morphisms(c, a, _class(args.cls), _system(args.system),
+    res = count_morphisms(c, a, MorphismClass(args.cls), FactorisationSystem(args.system),
                           enumerate_witnesses=args.limit is not None,
                           limit=args.limit)
     print(res.count)
@@ -290,8 +275,8 @@ def _cmd_count(args) -> int:
 def _cmd_profile(args) -> int:
     _, a = _blocks(args.subject)[0]
     family = enumerate_structures(a.signature, args.budget)
-    prof = hom_profile(a, family, args.side, _class(args.cls),
-                       _system(args.system))
+    prof = hom_profile(a, family, args.side, MorphismClass(args.cls),
+                       FactorisationSystem(args.system))
     for test, count in zip(prof.family, prof.counts):
         print(f"{canonical_form(test).decode('ascii')}\t{count}")
     return EXIT_OK
@@ -336,7 +321,7 @@ def _cmd_mobius(args) -> int:
 def _cmd_kernel(args) -> int:
     _, c = _blocks(args.source)[0]
     _, a = _blocks(args.target)[0]
-    dec = kernel_decomposition(c, a, _system(args.system))
+    dec = kernel_decomposition(c, a, FactorisationSystem(args.system))
     print("partition\tblocks\tgeneric")
     for row in dec.rows:
         print(f"{_partition_text(row.partition)}\t{len(row.partition)}"
@@ -445,6 +430,19 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
+    """Run one command; exact counts print in full, however many digits they
+    have (Python's int-to-text digit limit is lifted for the call)."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # builds without the limit
+        return _run(argv)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 
@@ -137,76 +137,56 @@ class _Record:
     the table path.
     """
 
-    __slots__ = ("structure", "_order", "_steps", "_absent", "_walk", "_frontier",
-                 "_index", "tuple_masks")
-
     def __init__(self, s: Structure):
         self.structure = s
-        self._order = self._steps = self._absent = self._walk = self._frontier = None
         self._index = {}
         self.tuple_masks = {}
 
-    @property
+    @cached_property
     def order(self):
-        if self._order is None:
-            self._compile_pattern()
-        return self._order
-
-    @property
-    def steps(self):
-        if self._steps is None:
-            self._compile_pattern()
-        return self._steps
-
-    def _compile_pattern(self):
         s = self.structure
         degree = [0] * s.size
         for rel in s.relations:
             for t in rel:
                 for x in t:
                     degree[x] += 1
-        order = tuple(sorted(range(s.size), key=lambda x: (-degree[x], x)))
-        self._order = order
-        self._steps = _step_tuples(s.relations, order, lambda step, x: x)
+        return tuple(sorted(range(s.size), key=lambda x: (-degree[x], x)))
 
-    @property
+    @cached_property
+    def steps(self):
+        return _step_tuples(self.structure.relations, self.order, lambda step, x: x)
+
+    @cached_property
     def absent(self):
-        if self._absent is None:
-            s = self.structure
-            non_tuples = [[t for t in product(range(s.size), repeat=arity)
-                           if t not in rel]
-                          for (_, arity), rel in zip(s.signature.symbols, s.relations)]
-            self._absent = _step_tuples(non_tuples, self.order, lambda step, x: x)
-        return self._absent
+        s = self.structure
+        non_tuples = [[t for t in product(range(s.size), repeat=arity) if t not in rel]
+                      for (_, arity), rel in zip(s.signature.symbols, s.relations)]
+        return _step_tuples(non_tuples, self.order, lambda step, x: x)
 
-    @property
+    @cached_property
     def walk(self):
-        if self._walk is None:
-            self._walk = _frontier_walk(self.structure)
-        return self._walk
+        return _frontier_walk(self.structure)
 
-    @property
+    @cached_property
     def frontier(self):
-        if self._frontier is None:
-            _, order, nbrs = self.walk
-            left = (1 << self.structure.size) - 1
-            frontier = ()
-            fronts, keeps, stays = [], [], []
-            for v in order:
-                left ^= 1 << v
-                after = tuple(x for x in frontier + (v,) if nbrs[x] & left)
-                kept = [i for i, x in enumerate(frontier) if x in after]
-                # a slice when contiguous: itemgetter of one index gives no tuple
-                lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
-                keeps.append(itemgetter(slice(lo, hi)) if hi - lo == len(kept)
-                             else itemgetter(*kept))
-                fronts.append(frontier)
-                stays.append(v in after)
-                frontier = after
-            steps = _step_tuples(self.structure.relations, order,
-                                 lambda step, x: fronts[step].index(x))
-            self._frontier = tuple(zip(steps, keeps, stays))
-        return self._frontier
+        _, order, nbrs = self.walk
+        left = (1 << self.structure.size) - 1
+        frontier = ()
+        fronts, keeps, stays = [], [], []
+        for v in order:
+            left ^= 1 << v
+            after = tuple(x for x in frontier + (v,) if nbrs[x] & left)
+            kept = [i for i, x in enumerate(frontier) if x in after]
+            # a slice when contiguous: itemgetter of one index gives no tuple
+            lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
+            keeps.append(itemgetter(slice(lo, hi)) if hi - lo == len(kept)
+                         else itemgetter(*kept))
+            fronts.append(frontier)
+            stays.append(v in after)
+            frontier = after
+        steps = _step_tuples(self.structure.relations, order,
+                             lambda step, x: fronts[step].index(x))
+        return tuple(zip(steps, keeps, stays))
 
     def table(self, key):
         """Admissible values of the variable at the positions the key names,

@@ -25,7 +25,6 @@ from .homsearch import count_morphisms, hom_count
 from .quotposet import (
     FinitePoset,
     block_labels,
-    check_partition_cap,
     collapse_structure,
     partition_mobius,
     set_partitions,
@@ -37,6 +36,7 @@ from .sigstruct import (
     Signature,
     Structure,
     _check_same_signature,
+    _class_rules,
     canonical_form,
     canonical_representative,
 )
@@ -231,8 +231,8 @@ def embeddings_via_mobius(c: Structure, a: Structure,
     sub-poset is valid because every class carrying generic elements of any
     f1-value is present.
     """
+    _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     if system is SE_M:
-        check_partition_cap(c.size)
         return sum(partition_mobius(p) * hom_count(collapse_structure(c, p)[0], a)
                    for p in set_partitions(c.size))
 

@@ -188,10 +188,6 @@ def surjection_profile(t: Tower, family) -> tuple[bool, ...]:
     )
 
 
-def groups_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    return g.order == h.order and has_surjection(g, h)
-
-
 def _push_down(f, p1: GroupHom, p2: GroupHom) -> list[int] | None:
     """The map f' with f'(p1(x)) = p2(f(x)), or None where that is not well
     defined.  p1 is surjective, so f' is total when it exists."""

@@ -22,14 +22,6 @@ PARTITION_SIZE_CAP = 8
 Partition = tuple[tuple[int, ...], ...]
 
 
-def check_partition_cap(size: int) -> None:
-    """Refuse to enumerate the set partitions of more than
-    PARTITION_SIZE_CAP elements."""
-    if size > PARTITION_SIZE_CAP:
-        raise cap_exceeded("PARTITION_SIZE_CAP", PARTITION_SIZE_CAP,
-                           "partition enumeration over", size, "elements")
-
-
 def _growth_strings(n: int):
     """Restricted growth strings of length n in lexicographic order: s[x] is
     the block of element x, and each new block is numbered one above the
@@ -62,9 +54,14 @@ def _blocks(labels) -> Partition:
 
 def set_partitions(n: int):
     """All partitions of 0..n-1 via restricted growth strings, duplicate-free.
+    More than PARTITION_SIZE_CAP elements are refused at the call, before
+    the first partition.
 
     Blocks are sorted internally and by least element.
     """
+    if n > PARTITION_SIZE_CAP:
+        raise cap_exceeded("PARTITION_SIZE_CAP", PARTITION_SIZE_CAP,
+                           "partition enumeration over", n, "elements")
     return map(_blocks, _growth_strings(n))
 
 
@@ -116,9 +113,6 @@ class FinitePoset:
                     raise ValueError("leq must be antisymmetric")
                 if not self._up[j] <= self._up[i]:
                     raise ValueError("leq must be transitive")
-
-    def leq(self, x: int, y: int) -> bool:
-        return y in self._up[x]
 
     def down_set(self, y: int):
         return sorted(self._down[y])
@@ -175,8 +169,8 @@ def quotient_poset(c: Structure) -> QuotientPoset:
     the projection onto it is a quotient under both factorisation systems and
     the poset is the same for both; the identity class is the top element.
     """
-    check_partition_cap(c.size)
-    labels = list(_growth_strings(c.size))
+    partitions = tuple(set_partitions(c.size))
+    labels = [block_labels(partition, c.size) for partition in partitions]
     index = {s: i for i, s in enumerate(labels)}
     # The partitions coarser than p are p's blocks merged by each partition of
     # p's block numbers; composing growth strings gives the merged one.
@@ -189,7 +183,7 @@ def quotient_poset(c: Structure) -> QuotientPoset:
         for m in merges[k]:
             up_sets[index[tuple([m[b] for b in s])]].append(j)
     classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
-                    for partition in map(_blocks, labels))
+                    for partition in partitions)
     poset = FinitePoset(len(classes), up_sets)
     top = poset.top()
     assert top is not None and len(classes[top].partition) == c.size

@@ -158,16 +158,21 @@ def reflects_relations(f, c: Structure, a: Structure) -> bool:
 
 
 # Enum attribute lookups are slow; the class rule runs once per count.
-_MONO, _STRONG_MONO = MorphismClass.MONO, MorphismClass.STRONG_MONO
+_HOM, _MONO, _STRONG_MONO = MorphismClass.HOM, MorphismClass.MONO, MorphismClass.STRONG_MONO
 _SURJECTION, _QUOTIENT = MorphismClass.SURJECTION, MorphismClass.QUOTIENT
 
 
 def _class_rules(cls: MorphismClass, system: FactorisationSystem):
     """(injective, surjective, reflects) for the class: its maps are the
     homomorphisms that are injective, surjective and reflect every relation
-    symbol where the rule asks for it."""
+    symbol where the rule asks for it.  A class that is not a MorphismClass,
+    or a system that is not a FactorisationSystem, raises ValueError."""
     injective = cls is _MONO or cls is _STRONG_MONO
     surjective = cls is _SURJECTION or cls is _QUOTIENT
+    if not (injective or surjective or cls is _HOM):
+        raise ValueError(f"unknown morphism class {cls}")
+    if system is not SE_M and system is not E_SM:
+        raise ValueError(f"unknown factorisation system {system}")
     reflects = cls is _STRONG_MONO or (cls is _QUOTIENT and system is SE_M)
     return injective, surjective, reflects
 
@@ -184,8 +189,6 @@ def validate_morphism(f, c: Structure, a: Structure, cls: MorphismClass,
     f = tuple(f)
     if len(f) != c.size or any(not (0 <= y < a.size) for y in f):
         raise ValueError("f must be a total map from the universe of c into a")
-    if not isinstance(cls, MorphismClass):
-        raise ValueError(f"unknown morphism class {cls}")
     injective, surjective, reflects = _class_rules(cls, system)
     return (is_homomorphism(f, c, a)
             and (not injective or len(set(f)) == c.size)

@@ -31,7 +31,6 @@ from .errors import InvariantViolationError
 from .homsearch import hom_count, iter_hom_maps
 from .quotposet import (
     Partition,
-    check_partition_cap,
     collapse_structure,
     set_partitions,
 )
@@ -39,7 +38,9 @@ from .sigstruct import (
     SE_M,
     E_SM,
     FactorisationSystem,
+    MorphismClass,
     Structure,
+    _class_rules,
 )
 
 
@@ -116,6 +117,7 @@ def is_generic(h, c: Structure, a: Structure,
 def generic_count(c: Structure, a: Structure,
                   system: FactorisationSystem = SE_M) -> int:
     """Number of generic elements of hom(c, a), computed by definition."""
+    _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     merges, expansions = _factorization_candidates(c, system)
     return sum(1 for h in iter_hom_maps(c, a)
                if not _factors_through(h, a, merges, expansions))
@@ -192,8 +194,8 @@ def kernel_decomposition(c: Structure, a: Structure,
     up to the homomorphism count; a mismatch is an implementation bug and
     raises rather than reporting a best-effort table.
     """
+    _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     if system is SE_M:
-        check_partition_cap(c.size)
         classes = [(partition, collapse_structure(c, partition)[0])
                    for partition in set_partitions(c.size)]
     else:

@@ -229,10 +229,3 @@ def distinguish_trees(p: FiniteTree, q: FiniteTree,
             if np_ != nq:
                 return DistinguishResult(test, (np_, nq), DISTINGUISHED)
     return DistinguishResult(None, None, PROFILES_EQUAL)
-
-
-def longest_root_chain(t: FiniteTree) -> int:
-    """Largest n such that the n-node chain embeds from the root: height + 1."""
-    if t.size == 0:
-        return 0
-    return max(t.depths()) + 1

@@ -7,11 +7,9 @@ from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount import cklogic, lovasz
 from homcount.cklogic import (
     TREEWIDTH_SIZE_CAP,
-    add_identity_relation,
     ck_profile_equal,
     enumerate_tw_lt_k,
     is_connected,
-    quotient_by_I,
     tree_decomposition,
     treewidth,
     wl_equivalent,
@@ -359,58 +357,3 @@ def test_ck_witnesses_have_small_treewidth():
                 assert treewidth(v.witness) < k
                 assert hom_count(v.witness, a) == v.counts[0]
                 assert hom_count(v.witness, b) == v.counts[1]
-
-
-def test_add_identity_relation():
-    a = no_relation(2)
-    b = add_identity_relation(a)
-    assert b.relation("I") == frozenset({(0, 0), (1, 1)})
-    empty = add_identity_relation(no_relation(0))
-    assert empty.relation("I") == frozenset()
-
-
-def test_add_identity_symbol_clash():
-    sig = Signature((("I", 2),))
-    with pytest.raises(ValueError):
-        add_identity_relation(Structure.build(sig, 1, {}))
-
-
-def test_quotient_by_I_examples():
-    sig = Signature((("E", 2), ("I", 2)))
-    b = Structure.build(sig, 2, {"E": {(0, 0)}, "I": {(0, 1)}})
-    q = quotient_by_I(b)
-    assert q.size == 1
-    assert q.relation("E") == frozenset({(0, 0)})
-
-    full = Structure.build(sig, 3, {"E": {(0, 1)}, "I": {(0, 1), (1, 2), (0, 2)}})
-    q2 = quotient_by_I(full)
-    assert q2.size == 1
-    assert q2.relation("E") == frozenset({(0, 0)})
-
-    no_i = Structure.build(sig, 2, {"E": {(0, 1)}})
-    q3 = quotient_by_I(no_i)
-    assert q3.size == 2
-    assert q3.relation("E") == frozenset({(0, 1)})
-
-
-def test_adjunction_unit_on_objects():
-    # quotient_by_I(add_identity_relation(a)) is isomorphic to a, for every
-    # digraph on <= 3 vertices and a size-4 sample.
-    rng = random.Random(83)
-    cases = [random_digraph(rng, n) for n in (1, 2, 3) for _ in range(8)]
-    cases += [no_relation(0), complete_sym(4), cycle_sym(4)]
-    for a in cases:
-        back = quotient_by_I(add_identity_relation(a))
-        assert back.signature == a.signature
-        assert are_isomorphic(back, a)
-
-
-def test_quotient_by_I_shrinks_treewidth():
-    rng = random.Random(89)
-    sig = Signature((("E", 2), ("I", 2)))
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        e = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
-        ii = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.2}
-        b = Structure.build(sig, n, {"E": e, "I": ii})
-        assert treewidth(quotient_by_I(b)) <= treewidth(b)

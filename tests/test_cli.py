@@ -306,6 +306,21 @@ def test_trees_count_deep_chain(files, capsys):
     assert out == "1\n"
 
 
+def test_trees_count_past_the_int_digit_limit(files, capsys):
+    # A 5,000-edge star into an 11-node star: 10^5000 maps, past Python's
+    # default limit of 4,300 digits for int-to-text; the limit is restored.
+    def star(name, leaves):
+        return files(f"{name}.tree",
+                     f"tree {name} size {leaves + 1} parents - {' 0' * leaves} end\n")
+
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = digit_limit()
+    code, out, _ = invoke(["trees", "count", star("big", 5000), star("small", 10)], capsys)
+    assert code == 0
+    assert out == "1" + "0" * 5000 + "\n"
+    assert digit_limit() == before
+
+
 def test_trees_distinguish(files, capsys):
     p = files("chain.tree", TREES_TEXT)
     q = files("cherry.tree", CHERRY_TEXT)

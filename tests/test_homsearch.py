@@ -10,7 +10,13 @@ from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
 from homcount import homsearch, sigstruct
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
-from homcount.lovasz import LEFT, _structures_of_size, decide_isomorphic_by_counting, hom_profile
+from homcount.lovasz import (
+    LEFT,
+    _structures_of_size,
+    decide_isomorphic_by_counting,
+    embeddings_via_mobius,
+    hom_profile,
+)
 from homcount.selftest import full_acceptance
 from homcount.sigstruct import (
     E_SM,
@@ -22,6 +28,7 @@ from homcount.sigstruct import (
     disjoint_union,
     validate_morphism,
 )
+from homcount.stirling import generic_count, kernel_decomposition
 from oracles import naive_count, naive_morphisms
 
 CLS = MorphismClass
@@ -142,6 +149,24 @@ def test_enumeration_limit_flags_truncation(k3):
 def test_limit_must_be_positive(k3):
     with pytest.raises(ValueError):
         count_morphisms(k3, k3, limit=0)
+
+
+def test_an_unknown_class_or_system_is_refused(k3):
+    # A plain string in place of an enum member is refused, not read as HOM or E_SM.
+    arc = digraph(2, {(0, 1)})
+    k2_loop = digraph(3, {(0, 1), (1, 0), (2, 2)})
+    refused = [
+        lambda: count_morphisms(arc, k3, "strong-mono"),
+        lambda: list(iter_hom_maps(arc, k3, "hom")),
+        lambda: count_morphisms(no_relation(2), digraph(1, {(0, 0)}), CLS.QUOTIENT, "se-m"),
+        lambda: validate_morphism((0, 1), arc, k3, "mono"),
+        lambda: embeddings_via_mobius(arc, k2_loop, "se-m"),
+        lambda: generic_count(arc, k2_loop, "se-m"),
+        lambda: kernel_decomposition(no_relation(2), k2_loop, "se-m"),
+    ]
+    for call in refused:
+        with pytest.raises(ValueError, match="unknown (morphism class|factorisation system)"):
+            call()
 
 
 def test_signature_mismatch(k3):
@@ -559,5 +584,5 @@ def test_isomorphism_by_counting_compiles_no_plan_per_test():
     _search_plan.cache_clear()
     assert decide_isomorphic_by_counting(a, b)
     assert _search_plan.cache_info().currsize == 2
-    assert _search_plan(a)._order is None and _search_plan(b)._steps is None
-    assert _search_plan(a)._walk is None is _search_plan(b)._walk
+    for record in (_search_plan(a), _search_plan(b)):
+        assert not {"order", "steps", "walk"} & vars(record).keys()

@@ -5,7 +5,7 @@ mixed signature with a unary and a ternary symbol."""
 import itertools
 import random
 
-from homcount.cklogic import quotient_by_I, add_identity_relation, treewidth, wl_equivalent
+from homcount.cklogic import treewidth, wl_equivalent
 from homcount.homsearch import count_morphisms, hom_count
 from homcount.lovasz import distinguish, embeddings_via_mobius
 from homcount.sigstruct import (
@@ -137,15 +137,6 @@ def test_wl_sees_unary_and_ternary_data():
     d = Structure.build(MIXED, 2, {"T": {(0, 1, 1)}})
     assert not wl_equivalent(c, d, 3)
     assert wl_equivalent(a, a, 2) and wl_equivalent(c, c, 3)
-
-
-def test_identity_adjunction_keeps_extra_symbols():
-    rng = random.Random(131)
-    for _ in range(10):
-        a = random_mixed(rng, 3)
-        back = quotient_by_I(add_identity_relation(a))
-        assert back.signature == a.signature
-        assert are_isomorphic(back, a)
 
 
 def test_multiplicativity_mixed_signature():

@@ -13,7 +13,6 @@ from homcount.trees import (
     count_tree_morphisms,
     distinguish_trees,
     enumerate_trees,
-    longest_root_chain,
     tree_from_encoding,
     truncate,
 )
@@ -146,13 +145,7 @@ def test_truncation_grows_root_chain():
     ]
     for spec in specs:
         for d in range(5):
-            assert longest_root_chain(truncate(spec, d)) == d + 1
-
-
-def test_longest_root_chain():
-    assert longest_root_chain(chain_tree(1)) == 1
-    assert longest_root_chain(full_binary(2)) == 3
-    assert longest_root_chain(chain_tree(0)) == 0
+            assert max(truncate(spec, d).depths()) == d
 
 
 def test_enumerate_trees_counts():
