@@ -390,11 +390,12 @@ def _cmd_tower(args) -> int:
         name2, t2 = _blocks(args.right_tower, _towers, "tower")[0]
         fam = _blocks(args.family, _groups, "group")
         res = distinguish_towers(t1, t2, [g for _, g in fam])
+        # by identity: groups with equal tables and other names compare equal
         for w in res.warnings:
-            wname = next(n for n, g in fam if g == w)
+            wname = next(n for n, g in fam if g is w)
             print(f"warning: counts for {wname} not stabilized", file=sys.stderr)
         if res.distinguished:
-            wname = next(n for n, g in fam if g == res.witness)
+            wname = next(n for n, g in fam if g is res.witness)
             return _report_witness(f"witness\t{wname}\n", (name1, name2), res.counts)
         print(res.verdict)
         return EXIT_OK

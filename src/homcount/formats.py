@@ -1,8 +1,11 @@
-"""Line-oriented text formats: structures, trees, tree specs, groups, towers.
+"""Text formats: structures, trees, tree specs, groups, towers.
 
-Parsing is strict: unknown lines, out-of-range indices and arity mismatches
-are rejected with 1-based line numbers.  Writers emit the same formats the
-parsers accept.
+Every format is a sequence of blocks closed by `end`.  Structures and tree
+specs are read line by line; trees, groups and towers as whitespace-separated
+tokens, so their blocks may span or share lines.  Parsing is strict: unknown
+lines or keywords, bad integers, out-of-range indices and arity mismatches
+raise a ParseError naming the 1-based line, as does any value a constructor
+refuses.  Writers emit the same formats the parsers accept.
 """
 
 from __future__ import annotations
@@ -18,94 +21,96 @@ _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.+-]*$")
 
 
-def _parse_symbol_decl(token: str, lineno: int) -> tuple[str, int]:
-    if "/" not in token:
-        raise ParseError(f"expected NAME/ARITY, got {token!r}", lineno)
-    name, _, arity_text = token.rpartition("/")
-    if not _NAME_RE.match(name):
-        raise ParseError(f"bad relation symbol name {name!r}", lineno)
+def _int(text: str, line: int, what: str) -> int:
+    """`text` as an integer; otherwise `bad <what> 'text'` at `line`."""
     try:
-        arity = int(arity_text)
+        return int(text)
     except ValueError:
-        raise ParseError(f"bad arity {arity_text!r}", lineno) from None
-    return name, arity
+        raise ParseError(f"bad {what} {text!r}", line) from None
+
+
+def _built(make, line: int, *args):
+    """make(*args), with the constructor's ValueError reported at `line`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from None
+
+
+def _lines(text: str):
+    """The non-blank lines of a text, stripped, with their 1-based numbers."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.strip():
+            yield lineno, raw.strip()
+
+
+def _block_body(lines, kind: str, start: int):
+    """The lines taken from `lines` up to the `end` closing the `kind` block
+    that opened at line `start`."""
+    for lineno, line in lines:
+        if line == "end":
+            return
+        yield lineno, line
+    raise ParseError(f"unterminated {kind} block", start)
+
+
+def _signature(decls: list[str], lineno: int) -> Signature:
+    if not decls:
+        raise ParseError("signature needs at least one symbol", lineno)
+    symbols = []
+    for decl in decls:
+        name, slash, arity = decl.rpartition("/")
+        if not slash:
+            raise ParseError(f"expected NAME/ARITY, got {decl!r}", lineno)
+        if not _NAME_RE.match(name):
+            raise ParseError(f"bad relation symbol name {name!r}", lineno)
+        symbols.append((name, _int(arity, lineno, "arity")))
+    return _built(Signature, lineno, tuple(symbols))
 
 
 def parse_structures(text: str) -> list[tuple[str, Structure]]:
     """All structure blocks in the text, in order, as (name, structure)."""
     signature: Signature | None = None
     out: list[tuple[str, Structure]] = []
-    block: dict | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    lines = _lines(text)
+    for lineno, line in lines:
+        head, *rest = line.split()
+        if head == "signature":
+            signature = _signature(rest, lineno)
             continue
-        head = line.split()[0]
-        if block is None:
-            if head == "signature":
-                decls = line.split()[1:]
-                if not decls:
-                    raise ParseError("signature needs at least one symbol", lineno)
-                try:
-                    signature = Signature(
-                        tuple(_parse_symbol_decl(d, lineno) for d in decls)
-                    )
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
-            elif head == "structure":
-                if signature is None:
-                    raise ParseError("structure block before any signature", lineno)
-                m = re.match(r"^structure\s+(\S+)\s+size\s+(\d+)$", line)
-                if not m:
-                    raise ParseError("expected: structure NAME size N", lineno)
-                block = {"name": m.group(1), "size": int(m.group(2)),
-                         "relations": {}, "line": lineno}
-            else:
-                raise ParseError(f"unexpected line {line!r}", lineno)
-            continue
-        if line == "end":
-            try:
-                s = Structure.build(signature, block["size"], block["relations"])
-            except ValueError as exc:
-                raise ParseError(str(exc), block["line"]) from None
-            out.append((block["name"], s))
-            block = None
-            continue
-        m = re.match(r"^(\S+):\s*(.*)$", line)
+        if head != "structure":
+            raise ParseError(f"unexpected line {line!r}", lineno)
+        if signature is None:
+            raise ParseError("structure block before any signature", lineno)
+        m = re.match(r"^structure\s+(\S+)\s+size\s+(\d+)$", line)
         if not m:
-            raise ParseError(f"expected 'SYMBOL: tuples' or 'end', got {line!r}",
-                             lineno)
-        sym, body = m.group(1), m.group(2)
-        if sym not in signature.names:
-            raise ParseError(f"unknown relation symbol {sym!r}", lineno)
-        if sym in block["relations"]:
-            raise ParseError(f"duplicate relation line for {sym!r}", lineno)
-        leftover = _TUPLE_RE.sub("", body).strip()
-        if leftover:
-            raise ParseError(f"stray text {leftover!r} outside tuples", lineno)
-        tuples = []
-        for match in _TUPLE_RE.finditer(body):
-            items = [p.strip() for p in match.group(1).split(",")] if match.group(1).strip() else []
-            try:
-                t = tuple(int(p) for p in items)
-            except ValueError:
-                raise ParseError(f"bad tuple {match.group(0)}", lineno) from None
-            if len(t) != signature.arity(sym):
-                raise ParseError(
-                    f"tuple {match.group(0)} has arity {len(t)}, "
-                    f"expected {signature.arity(sym)}",
-                    lineno,
-                )
-            if any(not 0 <= x < block["size"] for x in t):
-                raise ParseError(
-                    f"tuple {match.group(0)} out of range 0..{block['size'] - 1}",
-                    lineno,
-                )
-            tuples.append(t)
-        block["relations"][sym] = tuples
-    if block is not None:
-        raise ParseError("unterminated structure block", block["line"])
+            raise ParseError("expected: structure NAME size N", lineno)
+        size = int(m.group(2))
+        relations: dict[str, list[tuple[int, ...]]] = {}
+        for ln, body in _block_body(lines, "structure", lineno):
+            r = re.match(r"^(\S+):\s*(.*)$", body)
+            if not r:
+                raise ParseError(f"expected 'SYMBOL: tuples' or 'end', got {body!r}", ln)
+            sym, tuples_text = r.groups()
+            if sym not in signature.names:
+                raise ParseError(f"unknown relation symbol {sym!r}", ln)
+            if sym in relations:
+                raise ParseError(f"duplicate relation line for {sym!r}", ln)
+            leftover = _TUPLE_RE.sub("", tuples_text).strip()
+            if leftover:
+                raise ParseError(f"stray text {leftover!r} outside tuples", ln)
+            relations[sym] = []
+            for match in _TUPLE_RE.finditer(tuples_text):
+                entries = match.group(1).split(",") if match.group(1).strip() else []
+                t = tuple(_int(x.strip(), ln, "tuple entry") for x in entries)
+                if len(t) != signature.arity(sym):
+                    raise ParseError(f"tuple {match.group(0)} has arity {len(t)}, "
+                                     f"expected {signature.arity(sym)}", ln)
+                if any(not 0 <= x < size for x in t):
+                    raise ParseError(f"tuple {match.group(0)} out of range 0..{size - 1}",
+                                     ln)
+                relations[sym].append(t)
+        out.append((m.group(1), _built(Structure.build, lineno, signature, size, relations)))
     return out
 
 
@@ -124,9 +129,44 @@ def write_structure(name: str, s: Structure) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_tree_specs(text: str) -> list[tuple[str, RationalTreeSpec]]:
+    """Blocks:
+        treespec NAME states N start S
+        children 0: 0 1
+        ...
+        end
+    Every state needs a children line (possibly empty)."""
+    out = []
+    lines = _lines(text)
+    for lineno, line in lines:
+        m = re.match(r"^treespec\s+(\S+)\s+states\s+(\d+)\s+start\s+(\d+)$", line)
+        if not m:
+            raise ParseError("expected: treespec NAME states N start S", lineno)
+        states = int(m.group(2))
+        children: dict[int, tuple[int, ...]] = {}
+        for ln, body in _block_body(lines, "treespec", lineno):
+            c = re.match(r"^children\s+(\d+):\s*(.*)$", body)
+            if not c:
+                raise ParseError(f"expected 'children S: ...' or 'end', got {body!r}", ln)
+            state = int(c.group(1))
+            if state >= states or state in children:
+                raise ParseError(f"bad or duplicate state {state}", ln)
+            kids = tuple(_int(tok, ln, "child state") for tok in c.group(2).split())
+            if any(not 0 <= k < states for k in kids):
+                raise ParseError("child state out of range", ln)
+            children[state] = kids
+        missing = sorted(set(range(states)) - set(children))
+        if missing:
+            raise ParseError(f"missing children lines for states {missing}", lineno)
+        spec = _built(RationalTreeSpec, lineno, tuple(map(str, range(states))),
+                      tuple(children[s] for s in range(states)), int(m.group(3)))
+        out.append((m.group(1), spec))
+    return out
+
+
 class _Tokens:
     """The whitespace-separated tokens of a text, each with its 1-based line
-    number, taken in order by `need`; true while some are left."""
+    number, read in order; true while some are left."""
 
     def __init__(self, text: str):
         self.items = [(tok, lineno) for lineno, raw in enumerate(text.splitlines(), start=1)
@@ -144,45 +184,35 @@ class _Tokens:
         self.i += 1
         return self.items[self.i - 1]
 
+    def keyword(self, word: str) -> int:
+        """Read the token `word`; its line."""
+        tok, line = self.need(f"'{word}'")
+        if tok != word:
+            raise ParseError(f"expected '{word}', got {tok!r}", line)
+        return line
+
+    def integer(self, what: str) -> int:
+        """Read an integer token; `what` names it in errors."""
+        tok, line = self.need(f"{what} value")
+        return _int(tok, line, what)
+
 
 def parse_trees(text: str) -> list[tuple[str, FiniteTree]]:
     """Blocks of the form: tree NAME size N parents - 0 0 1 1 end"""
     tokens = _Tokens(text)
-    need = tokens.need
     out = []
     while tokens:
-        tok, lineno = need("'tree'")
-        if tok != "tree":
-            raise ParseError(f"expected 'tree', got {tok!r}", lineno)
-        name, _ = need("tree name")
-        kw, ln = need("'size'")
-        if kw != "size":
-            raise ParseError(f"expected 'size', got {kw!r}", ln)
-        size_text, ln = need("size value")
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise ParseError(f"bad size {size_text!r}", ln) from None
-        kw, ln = need("'parents'")
-        if kw != "parents":
-            raise ParseError(f"expected 'parents', got {kw!r}", ln)
+        tokens.keyword("tree")
+        name, _ = tokens.need("tree name")
+        tokens.keyword("size")
+        size = tokens.integer("size")
+        tokens.keyword("parents")
         parents = []
         for _ in range(size):
-            tok, ln = need("parent entry")
-            if tok == "-":
-                parents.append(-1)
-            else:
-                try:
-                    parents.append(int(tok))
-                except ValueError:
-                    raise ParseError(f"bad parent entry {tok!r}", ln) from None
-        tok, ln = need("'end'")
-        if tok != "end":
-            raise ParseError(f"expected 'end' after {size} parents, got {tok!r}", ln)
-        try:
-            out.append((name, FiniteTree(size, tuple(parents))))
-        except ValueError as exc:
-            raise ParseError(str(exc), ln) from None
+            tok, line = tokens.need("parent entry")
+            parents.append(-1 if tok == "-" else _int(tok, line, "parent entry"))
+        line = tokens.keyword("end")
+        out.append((name, _built(FiniteTree, line, size, tuple(parents))))
     return out
 
 
@@ -190,63 +220,6 @@ def write_tree(name: str, t: FiniteTree) -> str:
     parents = " ".join("-" if p == -1 else str(p) for p in t.parent)
     middle = f" {parents} " if t.size else " "
     return f"tree {name} size {t.size} parents{middle}end\n"
-
-
-def parse_tree_specs(text: str) -> list[tuple[str, RationalTreeSpec]]:
-    """Blocks:
-        treespec NAME states N start S
-        children 0: 0 1
-        ...
-        end
-    Every state needs a children line (possibly empty)."""
-    out = []
-    block = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if block is None:
-            m = re.match(r"^treespec\s+(\S+)\s+states\s+(\d+)\s+start\s+(\d+)$", line)
-            if not m:
-                raise ParseError("expected: treespec NAME states N start S", lineno)
-            block = {"name": m.group(1), "states": int(m.group(2)),
-                     "start": int(m.group(3)), "children": {}, "line": lineno}
-            continue
-        if line == "end":
-            missing = set(range(block["states"])) - set(block["children"])
-            if missing:
-                raise ParseError(
-                    f"missing children lines for states {sorted(missing)}",
-                    block["line"],
-                )
-            try:
-                spec = RationalTreeSpec(
-                    tuple(str(s) for s in range(block["states"])),
-                    tuple(tuple(block["children"][s]) for s in range(block["states"])),
-                    block["start"],
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), block["line"]) from None
-            out.append((block["name"], spec))
-            block = None
-            continue
-        m = re.match(r"^children\s+(\d+):\s*(.*)$", line)
-        if not m:
-            raise ParseError(f"expected 'children S: ...' or 'end', got {line!r}",
-                             lineno)
-        state = int(m.group(1))
-        if state >= block["states"] or state in block["children"]:
-            raise ParseError(f"bad or duplicate state {state}", lineno)
-        try:
-            kids = [int(tok) for tok in m.group(2).split()]
-        except ValueError:
-            raise ParseError(f"bad child list {m.group(2)!r}", lineno) from None
-        if any(not 0 <= k < block["states"] for k in kids):
-            raise ParseError("child state out of range", lineno)
-        block["children"][state] = kids
-    if block is not None:
-        raise ParseError("unterminated treespec block", block["line"])
-    return out
 
 
 def parse_groups_and_towers(text: str):
@@ -261,90 +234,54 @@ def parse_groups_and_towers(text: str):
     groups: dict[str, FiniteGroup] = {}
     towers: dict[str, Tower] = {}
     tokens = _Tokens(text)
-    need = tokens.need
     while tokens:
-        tok, lineno = need("'group' or 'tower'")
+        tok, lineno = tokens.need("'group' or 'tower'")
         if tok == "group":
-            name, _ = need("group name")
-            kw, ln = need("'order'")
-            if kw != "order":
-                raise ParseError(f"expected 'order', got {kw!r}", ln)
-            order_text, ln = need("order value")
-            try:
-                order = int(order_text)
-            except ValueError:
-                raise ParseError(f"bad order {order_text!r}", ln) from None
-            kw, ln = need("'table'")
-            if kw != "table":
-                raise ParseError(f"expected 'table', got {kw!r}", ln)
-            rows = []
-            row: list[int] = []
+            name, _ = tokens.need("group name")
+            tokens.keyword("order")
+            order = tokens.integer("order")
+            tokens.keyword("table")
+            rows: list[list[int]] = [[]]
             while True:
-                tok, ln = need("table entry, '/' or 'end'")
-                if tok == "/":
-                    rows.append(row)
-                    row = []
-                elif tok == "end":
-                    if row:
-                        rows.append(row)
+                tok, line = tokens.need("table entry, '/' or 'end'")
+                if tok == "end":
                     break
+                if tok == "/":
+                    rows.append([])
                 else:
-                    try:
-                        row.append(int(tok))
-                    except ValueError:
-                        raise ParseError(f"bad table entry {tok!r}", ln) from None
-            if len(rows) != order or any(len(r) != order for r in rows):
-                raise ParseError(
-                    f"table must have {order} rows of {order} entries", lineno
-                )
-            try:
-                groups[name] = FiniteGroup(order, tuple(map(tuple, rows)), name)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                    rows[-1].append(_int(tok, line, "table entry"))
+            if not rows[-1]:  # `end` closes a row only when it has entries
+                rows.pop()
+            groups[name] = _built(FiniteGroup, lineno, order, tuple(map(tuple, rows)), name)
         elif tok == "tower":
-            name, _ = need("tower name")
-            kw, ln = need("'levels'")
-            if kw != "levels":
-                raise ParseError(f"expected 'levels', got {kw!r}", ln)
+            name, _ = tokens.need("tower name")
+            tokens.keyword("levels")
             level_names = []
             while True:
-                tok, ln = need("level name, 'connect' or 'end'")
+                tok, line = tokens.need("level name, 'connect' or 'end'")
                 if tok in ("connect", "end"):
                     break
-                level_names.append((tok, ln))
-            levels = []
+                level_names.append((tok, line))
             for lname, ln in level_names:
                 if lname not in groups:
                     raise ParseError(f"unknown group {lname!r}", ln)
-                levels.append(groups[lname])
+            levels = [groups[lname] for lname, _ in level_names]
             if not levels:
                 raise ParseError("tower needs at least one level", lineno)
-            connecting = []
-            step = 0
+            connecting: list[GroupHom] = []
             while tok == "connect":
-                if step >= len(levels) - 1:
-                    raise ParseError("too many connect lines", ln)
-                dom, cod = levels[step + 1], levels[step]
+                if len(connecting) >= len(levels) - 1:
+                    raise ParseError("too many connect lines", line)
+                dom, cod = levels[len(connecting) + 1], levels[len(connecting)]
                 images = []
                 for _ in range(dom.order):
-                    val, ln = need("image entry")
-                    try:
-                        images.append(int(val))
-                    except ValueError:
-                        raise ParseError(f"bad image entry {val!r}", ln) from None
-                try:
-                    hom = GroupHom(dom, cod, tuple(images))
-                except ValueError as exc:
-                    raise ParseError(str(exc), ln) from None
-                connecting.append(hom)
-                step += 1
-                tok, ln = need("'connect' or 'end'")
+                    tok, line = tokens.need("image entry")
+                    images.append(_int(tok, line, "image entry"))
+                connecting.append(_built(GroupHom, line, dom, cod, tuple(images)))
+                tok, line = tokens.need("'connect' or 'end'")
             if tok != "end":
-                raise ParseError(f"expected 'end', got {tok!r}", ln)
-            try:
-                towers[name] = Tower(tuple(levels), tuple(connecting), name)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                raise ParseError(f"expected 'end', got {tok!r}", line)
+            towers[name] = _built(Tower, lineno, tuple(levels), tuple(connecting), name)
         else:
             raise ParseError(f"expected 'group' or 'tower', got {tok!r}", lineno)
     return groups, towers

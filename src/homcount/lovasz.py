@@ -186,7 +186,9 @@ def _capped_sizes(max_size: int, level_counts, what: str, unit: str):
     running total of candidates, one count per level from `level_counts`,
     stays within HOMCOUNT_CAP.  The first size past the cap raises before
     its level is built, so a consumer that stops early never pays for, or
-    trips over, the larger levels."""
+    trips over, the larger levels.  A max_size below 1 is refused."""
+    if max_size < 1:
+        raise ValueError("budget must be >= 1")
     cap = structure_cap()
     total = 0
     for n, count in zip(range(1, max_size + 1), level_counts):
@@ -283,8 +285,6 @@ def distinguish(a: Structure, b: Structure, budget: int,
     """First enumerated test structure whose hom counts against a and b
     differ."""
     _check_same_signature(a, b)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     for test in iter_structures(a.signature, budget):
         na = _count_side(test, a, side, MorphismClass.HOM, SE_M)
         nb = _count_side(test, b, side, MorphismClass.HOM, SE_M)

@@ -220,8 +220,6 @@ def distinguish_trees(p: FiniteTree, q: FiniteTree,
     The tests are walked in `enumerate_trees` order, level by level.  Before
     a level is built the trees through it are counted against HOMCOUNT_CAP,
     so a witness found early never meets the cap."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     for n in _capped_sizes(budget, _rooted_tree_counts(), "tree enumeration", "test trees"):
         for code in _encodings_of_size(n):
             test = tree_from_encoding(code)

@@ -1,8 +1,3 @@
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-
 import pytest
 
 from homcount.selftest import complete_sym, cycle_sym, no_relation

@@ -60,6 +60,17 @@ end
 
 Z2_FAMILY_TEXT = "group Z2 order 2 table 0 1 / 1 0 end\n"
 
+V4_TOWER_TEXT = """\
+group V4 order 4 table 0 1 2 3 / 1 0 3 2 / 2 3 0 1 / 3 2 1 0 end
+group V8 order 8 table
+0 1 2 3 4 5 6 7 / 1 0 3 2 5 4 7 6 / 2 3 0 1 6 7 4 5 / 3 2 1 0 7 6 5 4 /
+4 5 6 7 0 1 2 3 / 5 4 7 6 1 0 3 2 / 6 7 4 5 2 3 0 1 / 7 6 5 4 3 2 1 0
+end
+tower W levels V4 V8
+connect 0 1 2 3 0 1 2 3
+end
+"""
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -348,17 +359,7 @@ def test_tower_count(files, capsys):
 
 def test_tower_distinguish_and_surjections(files, capsys):
     t1 = files("t1.twr", TOWER_TEXT)
-    v4_ext = """\
-group V4 order 4 table 0 1 2 3 / 1 0 3 2 / 2 3 0 1 / 3 2 1 0 end
-group V8 order 8 table
-0 1 2 3 4 5 6 7 / 1 0 3 2 5 4 7 6 / 2 3 0 1 6 7 4 5 / 3 2 1 0 7 6 5 4 /
-4 5 6 7 0 1 2 3 / 5 4 7 6 1 0 3 2 / 6 7 4 5 2 3 0 1 / 7 6 5 4 3 2 1 0
-end
-tower W levels V4 V8
-connect 0 1 2 3 0 1 2 3
-end
-"""
-    t2 = files("t2.twr", v4_ext)
+    t2 = files("t2.twr", V4_TOWER_TEXT)
     fam = files("fam.grp", Z2_FAMILY_TEXT)
     code, out, err = invoke(
         ["tower", "distinguish", "--family", fam, t1, t2], capsys
@@ -380,10 +381,45 @@ end
 
 
 def test_parse_error_exit_2(files, capsys):
-    bad = files("bad.struct", "signature E/2\nstructure a size 2\nE: (0,5)\nend\n")
-    code, _, err = invoke(["treewidth", bad], capsys)
-    assert code == 2
-    assert "line 3" in err
+    """One bad file of each kind: exit 2, nothing on stdout, the line on stderr."""
+    cases = [
+        (["treewidth"], "signature E/2\nstructure a size 2\nE: (0,5)\nend\n", 3),
+        (["trees", "count", "FILE"], "tree a size 2\nparents - x\nend\n", 2),
+        (["trees", "truncate", "--depth", "1"],
+         "treespec a states 1 start 0\nchildren 0: 1\nend\n", 2),
+        (["tower", "count", "FILE"], "group Z2 order 2 table\n0 1 / 1 1\nend\n", 1),
+        (["tower", "count", "FILE"],
+         "group Z2 order 2 table 0 1 / 1 0 end\ntower T levels Z2\nZ3 end\n", 3),
+    ]
+    for argv, text, line in cases:
+        bad = files("bad.txt", text)
+        code, out, err = invoke([bad if arg == "FILE" else arg for arg in argv] + [bad], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--budget", "0", "K3"],
+    ["distinguish", "--budget", "0", "K3", "K3"],
+    ["ck", "--k", "2", "--budget", "0", "K3", "K3"],
+    ["trees", "distinguish", "--budget", "-1", "TREE", "TREE"],
+])
+def test_a_budget_below_1_is_a_usage_error(files, capsys, argv):
+    paths = {"K3": files("k3.struct", K3_TEXT), "TREE": files("t.tree", TREES_TEXT)}
+    code, out, err = invoke([paths.get(arg, arg) for arg in argv], capsys)
+    assert (code, out, err) == (2, "", "error: budget must be >= 1\n")
+
+
+def test_tower_warnings_name_each_family_member(files, capsys):
+    """Two family groups with one table but different names are two members:
+    each is named in its own warning."""
+    w = files("w.twr", V4_TOWER_TEXT)
+    fam = files("fam.grp", "group Z2 order 2 table 0 1 / 1 0 end\n"
+                           "group C2 order 2 table 0 1 / 1 0 end\n")
+    code, out, err = invoke(["tower", "distinguish", "--family", fam, w, w], capsys)
+    assert (code, out) == (0, "profiles-equal-within-budget\n")
+    assert err == ("warning: counts for Z2 not stabilized\n"
+                   "warning: counts for C2 not stabilized\n")
 
 
 @pytest.mark.parametrize("argv, kind", [
