@@ -114,15 +114,16 @@ class _Record:
     As a pattern: `order` lists the variables in search order (descending
     tuple-occurrence degree), and `steps[s]` the tuples that become fully
     assigned at step s, grouped as `_step_tuples` says, each other variable
-    by its index in the map being built.  `walk` is the frontier DP's
-    variable order (`_frontier_walk`); its first entry, w, the largest
-    frontier (the variables assigned so far that share a tuple with an
-    unassigned one), is what the selection rule reads.  `frontier` is the
-    DP's plan along that order: step s is ((statics, ones, manys), keep,
-    stays), the tuples completed at step s as above, but each other
-    variable by its index in the frontier before step s; `keep`, the
-    itemgetter of the frontier values that stay; `stays`, whether the new
-    variable joins the frontier.  `absent` is `steps` for the non-tuples
+    by its index in the map being built.  `walk` is (w, order, fronts), the
+    frontier DP's variable order and the frontier before each of its steps
+    (`_frontier_walk`; a frontier is the variables assigned so far that
+    share a tuple with an unassigned one); w, the largest frontier, is what
+    the selection rule reads.  `frontier` is the DP's plan read from those
+    frontiers: step s is ((statics, ones, manys), keep, stays), the tuples
+    completed at step s as above, but each other variable by its index in
+    fronts[s]; `keep`, the itemgetter of the values of fronts[s] that stay
+    in fronts[s + 1]; `stays`, whether the new variable joins it.  `absent`
+    is `steps` for the non-tuples
     (the tuples of variables outside a relation), along the same `order`:
     an injective homomorphism reflects every relation exactly when it sends
     none of them into the target's relation, so the strong-mono search
@@ -169,21 +170,15 @@ class _Record:
 
     @cached_property
     def frontier(self):
-        _, order, nbrs = self.walk
-        left = (1 << self.structure.size) - 1
-        frontier = ()
-        fronts, keeps, stays = [], [], []
-        for v in order:
-            left ^= 1 << v
-            after = tuple(x for x in frontier + (v,) if nbrs[x] & left)
-            kept = [i for i, x in enumerate(frontier) if x in after]
+        _, order, fronts = self.walk
+        keeps, stays = [], []
+        for v, before, after in zip(order, fronts, fronts[1:]):
+            kept = [i for i, x in enumerate(before) if x in after]
             # a slice when contiguous: itemgetter of one index gives no tuple
             lo, hi = (kept[0], kept[-1] + 1) if kept else (0, 0)
             keeps.append(itemgetter(slice(lo, hi)) if hi - lo == len(kept)
                          else itemgetter(*kept))
-            fronts.append(frontier)
             stays.append(v in after)
-            frontier = after
         steps = _step_tuples(self.structure.relations, order,
                              lambda step, x: fronts[step].index(x))
         return tuple(zip(steps, keeps, stays))
@@ -272,9 +267,10 @@ def _tuple_mask(proj, rel, t: tuple) -> int:
 
 def _frontier_walk(s: Structure):
     """The frontier DP's variable order, chosen greedily so that each step
-    leaves the smallest frontier: (w, order, nbrs), with w the largest
-    frontier and nbrs[x] the bitmask of the variables sharing a tuple with
-    x."""
+    leaves the smallest frontier: (w, order, fronts), with fronts[s] the
+    frontier before step s (the variables of order[:s] that share a tuple
+    with one of order[s:], in the order they were assigned, which is how
+    the plan indexes them; fronts[n] is empty) and w the largest of them."""
     n = s.size
     nbrs = [0] * n
     for rel in s.relations:
@@ -288,7 +284,7 @@ def _frontier_walk(s: Structure):
     left = (1 << n) - 1
     frontier = []
     order = []
-    width = 0
+    fronts = [()]
     while left:
         # The frontier variables whose one unassigned neighbour is v leave
         # it when v is assigned, and v joins it unless it has none.
@@ -313,8 +309,8 @@ def _frontier_walk(s: Structure):
         frontier.append(pick)
         frontier = [x for x in frontier if nbrs[x] & left]
         order.append(pick)
-        width = max(width, len(frontier))
-    return width, order, nbrs
+        fronts.append(tuple(frontier))
+    return max(map(len, fronts)), order, fronts
 
 
 def _step_tuples(relations, order, address):

@@ -140,12 +140,17 @@ class RationalTreeSpec:
 
 
 def truncate(spec: RationalTreeSpec, depth: int) -> FiniteTree:
-    """The unfolding of spec cut at the given depth (nodes at depth <= depth)."""
+    """The unfolding of spec cut at the given depth (nodes at depth <= depth).
+    The unfolding is built level by level and stops at the first empty
+    level, so a spec whose unfolding is finite takes the same time at any
+    depth past its height."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
     parents = [-1]
     frontier = [(0, spec.start)]
     for _ in range(depth):
+        if not frontier:
+            break
         new_frontier = []
         for node, state in frontier:
             for child_state in spec.children[state]:

@@ -499,6 +499,32 @@ def test_frontier_counts_match_naive_oracle(monkeypatch):
     assert any(plan.walk[0] == 0 and len(plan.frontier) > 1 for plan in plans)
 
 
+def test_frontier_walk_lists_the_frontier_before_each_step():
+    # The frontier plan reads its frontiers from the walk, so they are
+    # checked here against their definition, on patterns with isolated
+    # elements and loops.
+    rng = random.Random("walk")
+    for signature in (Signature((("E", 2),)), BINARY_TERNARY):
+        for n in range(1, 11):
+            for p in (0.0, 0.02, 0.08, 0.2):
+                c = random_structure(rng, signature, n, p)
+                for pattern in (c, _with_loops(rng, c)):
+                    w, order, fronts = homsearch._frontier_walk(pattern)
+                    assert sorted(order) == list(range(n))
+                    assert len(fronts) == n + 1 and fronts[0] == fronts[-1] == ()
+                    assert w == max(map(len, fronts))
+                    tuples = [set(t) for rel in pattern.relations for t in rel]
+                    for s in range(n):
+                        rest = set(order[s + 1:])
+                        assert fronts[s + 1] == tuple(
+                            x for x in order[:s + 1]
+                            if any(x in t and t & rest for t in tuples))
+                    plan = _search_plan(pattern).frontier
+                    for v, before, after, (_, keep, stays) in zip(order, fronts,
+                                                                   fronts[1:], plan):
+                        assert keep(before) + ((v,) if stays else ()) == after
+
+
 def _adjacency_power_sums(a, k):
     """(1^T A^k 1, trace A^k) by integer matrix powers of a's relation."""
     n = a.size

@@ -1,5 +1,6 @@
-"""The span tracer in perfbench/tracer.py patches homcount names with a bare
-getattr; a deleted or renamed name would fail every traced benchmark run."""
+"""The benchmark in perfbench/ reads homcount names: the span tracer patches
+them with a bare getattr, and the workloads call them through module
+attributes.  A deleted or renamed name would fail every benchmark run."""
 
 import ast
 import importlib
@@ -29,3 +30,58 @@ def test_every_traced_name_resolves():
         # the tracer reads the attribute from the class's own __dict__
         assert isinstance(cls, type) and attr in vars(cls), \
             f"{module}.{cls_name}.{attr}"
+
+
+PERFBENCH = TRACER.parent
+# The benchmark files that call homcount (tracer.py is checked above).
+CALLERS = ("workloads.py", "run.py", "cli_child.py")
+# The caches the workloads empty between ops and set-ups.
+CLEARED = (("homcount.homsearch", "_search_plan"), ("homcount.sigstruct", "_canonical"),
+           ("homcount.stirling", "_factorization_candidates"),
+           ("homcount.stirling", "_generic_count_cached"),
+           ("homcount.lovasz", "_structures_of_size"))
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _perfbench_references():
+    """(module, name) for every homcount name the callers read: the names
+    of `from homcount... import`, and the attributes read from the module
+    bindings of `import homcount.x [as y]`."""
+    refs = set()
+    for file in CALLERS:
+        tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("homcount."):
+                        modules[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "homcount":
+                refs.update((node.module, alias.name) for alias in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _dotted(node.value) in modules:
+                refs.add((modules[_dotted(node.value)], node.attr))
+    return refs
+
+
+def test_every_name_perfbench_calls_resolves():
+    refs = _perfbench_references()
+    assert set(CLEARED) <= refs
+    for module, attr in refs:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    for module, attr in CLEARED:
+        cache = getattr(importlib.import_module(module), attr)
+        assert callable(getattr(cache, "cache_clear", None)), f"{module}.{attr}"
+    # the tracer wraps every CLI handler in place
+    handlers = importlib.import_module("homcount.cli")._HANDLERS
+    assert isinstance(handlers, dict) and handlers
+    assert all(callable(h) for h in handlers.values())

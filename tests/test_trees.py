@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -115,6 +116,16 @@ def test_truncate_binary():
 def test_truncate_depth_zero():
     spec = RationalTreeSpec(("a", "b"), ((1, 1), (0,)), 0)
     assert truncate(spec, 0).size == 1
+
+
+def test_truncate_stops_when_the_unfolding_ends():
+    # a -> b b, b -> c, c -> nothing: the unfolding is a 5-node tree of height 2.
+    spec = RationalTreeSpec(("a", "b", "c"), ((1, 1), (2,), ()), 0)
+    start = time.process_time()
+    deep = truncate(spec, 10**7)
+    elapsed = time.process_time() - start
+    assert deep == truncate(spec, 2) and deep.size == 5
+    assert elapsed < 0.2
 
 
 def test_deep_chain_counts_and_encodes():
