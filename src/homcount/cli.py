@@ -27,7 +27,12 @@ from .homsearch import count_morphisms
 from .lovasz import LEFT, RIGHT, distinguish, enumerate_structures, hom_profile
 from .profinite import continuous_hom_count, distinguish_towers, surjection_profile
 from .quotposet import quotient_poset
-from .sigstruct import FactorisationSystem, MorphismClass, are_isomorphic, canonical_form
+from .sigstruct import (
+    FactorisationSystem,
+    MorphismClass,
+    _representative_code,
+    are_isomorphic,
+)
 from .stirling import kernel_decomposition, stirling_number
 from .trees import count_tree_morphisms, distinguish_trees, truncate
 
@@ -278,7 +283,7 @@ def _cmd_profile(args) -> int:
     prof = hom_profile(a, family, args.side, MorphismClass(args.cls),
                        FactorisationSystem(args.system))
     for test, count in zip(prof.family, prof.counts):
-        print(f"{canonical_form(test).decode('ascii')}\t{count}")
+        print(f"{_representative_code(test).decode('ascii')}\t{count}")
     return EXIT_OK
 
 

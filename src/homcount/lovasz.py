@@ -7,10 +7,11 @@ by descending relation-tuple count, then by canonical code.  This module owns
 that catalogue, and the one walk that counts the candidates of every family of
 test structures (this catalogue, `cklogic`'s tree-width levels, `trees`'
 rooted trees) against HOMCOUNT_CAP; `cklogic` reads the catalogue restricted
-to tree-width < k.  Testing up to size max(|a|, |b|) is enough to decide
-isomorphism: equal profiles force mutual embeddings via Moebius inversion, and
-mutual embeddings between finite structures force isomorphism (the injective
-endomorphism monoid of a finite structure is a group).
+to tree-width < k.  Deciding isomorphism needs no catalogue: the quotients
+of one subject a are enough as tests (Lovasz 1967), because Moebius
+inversion over a's partitions turns equal counts into an injective hom from
+a to the other subject, which equal sizes and tuple counts make an
+isomorphism.  PARTITION_SIZE_CAP, not HOMCOUNT_CAP, bounds that decision.
 """
 
 from __future__ import annotations
@@ -294,7 +295,21 @@ def distinguish(a: Structure, b: Structure, budget: int,
 
 
 def decide_isomorphic_by_counting(a: Structure, b: Structure) -> bool:
-    """Lovasz-style decision: no distinguishing test up to size max(|a|, |b|)
-    means isomorphic."""
-    budget = max(a.size, b.size, 1)
-    return not distinguish(a, b, budget, RIGHT).distinguished
+    """Lovasz's decision: a and b are isomorphic iff they have the same size,
+    the same number of tuples per symbol, and hom(a/P, a) = hom(a/P, b) for
+    every quotient a/P of a.
+
+    The first two are hom counts too (of one point, and of one tuple on
+    distinct elements).  Since inj(a, x) = sum_P mu(0, P) hom(a/P, x), equal
+    quotient counts give inj(a, b) = inj(a, a) >= 1, and an injective hom
+    between structures of equal size and equal tuple counts maps each
+    relation onto the other's: it is an isomorphism.  The tests are the
+    B(|a|) quotients, so PARTITION_SIZE_CAP bounds the call."""
+    _check_same_signature(a, b)
+    if a.size != b.size or any(len(r) != len(s) for r, s in zip(a.relations, b.relations)):
+        return False
+    for p in set_partitions(a.size):
+        test = collapse_structure(a, p)[0]
+        if hom_count(test, a) != hom_count(test, b):
+            return False
+    return True

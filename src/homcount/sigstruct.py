@@ -341,6 +341,13 @@ def canonical_form(a: Structure) -> bytes:
     return _serialize(a.signature, a.size, _canonical(a))
 
 
+def _representative_code(rep: Structure) -> bytes:
+    """`canonical_form(rep)` for a canonical representative, read off its own
+    labelling: a representative is its own canonical relabelling, so no
+    permutation search is needed."""
+    return _serialize(rep.signature, rep.size, [sorted(r) for r in rep.relations])
+
+
 def canonical_representative(a: Structure) -> Structure:
     """The canonically relabeled copy of a (the one realising its code)."""
     rels = tuple(frozenset(r) for r in _canonical(a))

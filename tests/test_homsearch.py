@@ -603,8 +603,9 @@ def test_empty_target_builds_no_tables():
 
 
 def test_isomorphism_by_counting_compiles_no_plan_per_test():
-    # Every test structure is a pattern below the size rule, so only the two
-    # subjects get a record, and neither is compiled as a pattern.
+    # The test structures are a's quotients, each a pattern below the size
+    # rule, so only the two subjects get a record (the discrete quotient is
+    # equal to a), and neither is compiled as a pattern.
     a = digraph(3, {(0, 1), (1, 2), (2, 0), (0, 0)})
     b = digraph(3, {(2, 0), (0, 1), (1, 2), (1, 1)})
     _search_plan.cache_clear()

@@ -24,6 +24,8 @@ from homcount.sigstruct import (
     GRAPH_SIGNATURE,
     SE_M,
     Signature,
+    Structure,
+    _image,
     are_isomorphic,
     canonical_form,
     embedding_class,
@@ -191,14 +193,108 @@ def test_decide_isomorphic_c6_vs_triangles(c6, two_c3):
 
 
 def test_decide_isomorphic_agrees_with_are_isomorphic_on_small_digraphs():
-    # Exhaustive cross-check on all pairs from a deterministic slice of the
-    # digraphs on <= 3 vertices, plus relabelings.
-    rng = random.Random(59)
-    structures = list(enumerate_structures(GRAPH_SIGNATURE, 2))
-    structures += rng.sample(enumerate_structures(GRAPH_SIGNATURE, 3), 25)
+    # Every ordered pair of the 116 binary classes through size 3.
+    structures = enumerate_structures(GRAPH_SIGNATURE, 3)
+    assert len(structures) == 116
     for a in structures:
         for b in structures:
-            assert decide_isomorphic_by_counting(a, b) == are_isomorphic(a, b)
+            assert decide_isomorphic_by_counting(a, b) == are_isomorphic(a, b), (a, b)
+
+
+def relabelled(rng, a):
+    perm = list(range(a.size))
+    rng.shuffle(perm)
+    return _image(a, perm, a.size)
+
+
+def movable(a):
+    """The symbols of a with a tuple and a non-tuple."""
+    return [s for s, (r, (_, arity)) in enumerate(zip(a.relations, a.signature.symbols))
+            if 0 < len(r) < a.size ** arity]
+
+
+def moved_tuple(rng, a):
+    """a with one tuple of one relation moved to a non-tuple, so the size and
+    every tuple count stay as they are."""
+    rels = list(a.relations)
+    s = rng.choice(movable(a))
+    absent = [t for t in itertools.product(range(a.size), repeat=a.signature.symbols[s][1])
+              if t not in rels[s]]
+    rels[s] = rels[s] - {rng.choice(sorted(rels[s]))} | {rng.choice(absent)}
+    return Structure(a.signature, a.size, tuple(rels))
+
+
+def assert_decides_both_orders(a, b):
+    expected = are_isomorphic(a, b)
+    assert decide_isomorphic_by_counting(a, b) == expected, (a, b)
+    assert decide_isomorphic_by_counting(b, a) == expected, (b, a)
+
+
+def test_decide_isomorphic_on_relabelled_and_perturbed_digraphs_of_4_to_8():
+    # Loops included; a perturbed copy keeps the size and the tuple count,
+    # so the quotient counts have to tell it apart.
+    rng = random.Random(67)
+    for n in range(4, 9):
+        a = random_digraph(rng, n)
+        assert any(x == y for x, y in a.relation("E"))
+        b = relabelled(rng, a)
+        assert decide_isomorphic_by_counting(a, b) and decide_isomorphic_by_counting(b, a)
+        for _ in range(3):
+            assert_decides_both_orders(a, relabelled(rng, moved_tuple(rng, b)))
+
+
+def test_decide_isomorphic_on_mixed_arity():
+    rng = random.Random(71)
+    signature = Signature((("E", 2), ("R", 3)))
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            a = Structure(signature, n, tuple(
+                frozenset(t for t in itertools.product(range(n), repeat=arity)
+                          if rng.random() < 0.3)
+                for _, arity in signature.symbols))
+            b = relabelled(rng, a)
+            assert_decides_both_orders(a, b)
+            if movable(a):
+                assert_decides_both_orders(a, moved_tuple(rng, b))
+    # equal size and tuple count in total, split differently between symbols
+    e_only = Structure.build(signature, 2, {"E": {(0, 1)}})
+    r_only = Structure.build(signature, 2, {"R": {(0, 1, 1)}})
+    assert_decides_both_orders(e_only, r_only)
+
+
+def test_decide_isomorphic_on_empty_and_unequal_sizes(k3, point):
+    empty = no_relation(0)
+    assert decide_isomorphic_by_counting(empty, empty)
+    for a, b in [(empty, point), (point, no_relation(2)), (k3, complete_sym(4)),
+                 (no_relation(3), k3)]:
+        assert_decides_both_orders(a, b)
+
+
+def test_decide_isomorphic_answers_pairs_beyond_the_catalogue_cap():
+    # The size-5 binary catalogue spans 2^25 candidates per level, above
+    # HOMCOUNT_CAP; the quotients of a 5-element subject are 52 tests.
+    rng = random.Random(73)
+    a = random_digraph(rng, 5)
+    with pytest.raises(CapExceededError, match="HOMCOUNT_CAP"):
+        distinguish(a, a, 5)
+    assert decide_isomorphic_by_counting(a, relabelled(rng, a))
+
+
+def test_decide_isomorphic_is_bounded_by_the_partition_cap():
+    rng = random.Random(79)
+    a = random_digraph(rng, 9)
+    with pytest.raises(CapExceededError, match="PARTITION_SIZE_CAP") as err:
+        decide_isomorphic_by_counting(a, relabelled(rng, a))
+    assert err.value.count == 9
+
+
+def test_decide_isomorphic_builds_no_catalogue_level():
+    rng = random.Random(83)
+    a = random_digraph(rng, 4)
+    before = _structures_of_size.cache_info()
+    assert decide_isomorphic_by_counting(a, relabelled(rng, a))
+    assert not decide_isomorphic_by_counting(a, moved_tuple(rng, a))
+    assert _structures_of_size.cache_info() == before
 
 
 def test_distinguish_witness_counts_are_sound(c6, two_c3):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import CapExceededError, SignatureMismatchError
+from homcount.lovasz import _structures_of_size
 from homcount.sigstruct import (
     CANON_SIZE_CAP,
     E_SM,
@@ -13,6 +14,7 @@ from homcount.sigstruct import (
     MorphismClass,
     Signature,
     Structure,
+    _representative_code,
     are_isomorphic,
     canonical_form,
     canonical_representative,
@@ -286,6 +288,14 @@ def test_canonical_representative_is_isomorphic_with_same_code():
         rep = canonical_representative(a)
         assert canonical_form(rep) == canonical_form(a)
         assert brute_isomorphic(rep, a)
+
+
+def test_a_representative_reads_its_code_off_its_own_labelling():
+    levels = [_structures_of_size(GRAPH_SIGNATURE, n) for n in range(1, 5)]
+    levels += [_structures_of_size(GRAPH_SIGNATURE, n, undirected=True) for n in range(1, 6)]
+    assert sum(map(len, levels)) == 2 + 10 + 104 + 3044 + 1 + 2 + 4 + 11 + 34
+    for rep in itertools.chain.from_iterable(levels):
+        assert _representative_code(rep) == canonical_form(rep), rep
 
 
 def test_canonical_form_congruence_for_disjoint_union():
