@@ -80,6 +80,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 
+from .quotposet import collapse_structure, set_partitions
 from .sigstruct import (
     SE_M,
     FactorisationSystem,
@@ -129,7 +130,8 @@ class _Record:
     none of them into the target's relation, so the strong-mono search
     masks out, at each step, the values that would.
     Each plan is compiled the first time a count reads it, so a structure
-    used only as a target never pays for them.
+    used only as a target never pays for them.  `quotients`, the pairs (P,
+    c collapsed by P) in `set_partitions` order, serves every sum over them.
 
     As a target: `table(key)`, built the first time a search or the frontier
     DP asks for it, and `tuple_masks[n]`, for patterns of size n, the pair
@@ -163,6 +165,11 @@ class _Record:
         non_tuples = [[t for t in product(range(s.size), repeat=arity) if t not in rel]
                       for (_, arity), rel in zip(s.signature.symbols, s.relations)]
         return _step_tuples(non_tuples, self.order, lambda step, x: x)
+
+    @cached_property
+    def quotients(self):
+        c = self.structure
+        return tuple((p, collapse_structure(c, p)[0]) for p in set_partitions(c.size))
 
     @cached_property
     def walk(self):

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import cap_exceeded
-from .homsearch import count_morphisms, hom_count
-from .quotposet import (
-    FinitePoset,
-    block_labels,
-    collapse_structure,
-    partition_mobius,
-    set_partitions,
-)
+from .homsearch import _search_plan, count_morphisms, hom_count
+from .quotposet import block_labels, partition_mobius
 from .sigstruct import (
     SE_M,
     FactorisationSystem,
@@ -223,30 +217,34 @@ def enumerate_structures(signature: Signature, max_size: int) -> tuple[Structure
 
 def embeddings_via_mobius(c: Structure, a: Structure,
                           system: FactorisationSystem = SE_M) -> int:
-    """Embedding count recovered from hom counts by Moebius inversion.
-
-    Sets f1(q) = |hom(cod q, a)| on the quotient classes of c and inverts;
-    the value at the top (identity) class is the number of embeddings c -> a
-    for the chosen system.  Under SE_M the classes are the kernel-partition
-    collapses and mu(class, top) is the closed form `partition_mobius`, so no
-    poset is built.  Under E_SM the poset is restricted to the classes
-    realized by maps into a (plus the top): inversion over that finite
-    sub-poset is valid because every class carrying generic elements of any
-    f1-value is present.
+    """Embedding count recovered from hom counts by Moebius inversion: the
+    sum of mu(x, top) |hom(cod x, a)| over the quotient classes x of c, the
+    top being the identity class.  Under SE_M the classes are the collapses
+    on c's record, with mu(x, top) in closed form (`partition_mobius`).
+    Under E_SM they are the classes realized by maps into a, plus the top:
+    every class with a generic map into a is among them, so the sum is
+    exact, and `_top_column` gives their mu.  No class with mu 0 is counted.
     """
     _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     if system is SE_M:
-        return sum(partition_mobius(p) * hom_count(collapse_structure(c, p)[0], a)
-                   for p in set_partitions(c.size))
+        terms = [(partition_mobius(p), q) for p, q in _search_plan(c).quotients]
+    else:
+        top = (tuple((x,) for x in range(c.size)), c.relations)
+        realized = {**_realized_quotients(c, a), top: c}
+        keys = list(realized)
+        mu = _top_column(_factorisation_up_sets(keys, c.size), keys.index(top))
+        terms = zip(mu, realized.values())
+    return sum(m * hom_count(q, a) for m, q in terms if m)
 
-    realized = _realized_quotients(c, a)
-    top_key = (tuple((x,) for x in range(c.size)), c.relations)
-    realized.setdefault(top_key, c)
-    keys = list(realized)
-    poset = FinitePoset(len(keys), _factorisation_up_sets(keys, c.size))
-    f1 = [hom_count(realized[k], a) for k in keys]
-    f2 = mobius_invert_ints(poset, f1)
-    return f2[keys.index(top_key)]
+
+def _top_column(up_sets, top: int) -> list[int]:
+    """mu(x, top) for each x of a poset given by its up-sets, `top` its
+    greatest element: 1 at the top, else minus the sum of mu(z, top) over
+    the z > x, each visited first since its up-set is smaller than x's."""
+    mu = [0] * len(up_sets)
+    for x in sorted(range(len(up_sets)), key=lambda i: len(up_sets[i])):
+        mu[x] = 1 if x == top else -sum(mu[z] for z in up_sets[x] if z != x)
+    return mu
 
 
 def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
@@ -273,10 +271,10 @@ def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
     return up_sets
 
 
-def mobius_invert_ints(poset: FinitePoset, f1) -> list[int]:
-    """Given integers f1 on the poset, return f2 with
+def mobius_invert_ints(poset, f1) -> list[int]:
+    """Given integers f1 on a `quotposet.FinitePoset`, return f2 with
     f2(y) = sum_{x<=y} f1(x) mu(x,y), the unique solution of
-    f1(y) = sum_{x<=y} f2(x)."""
+    f1(y) = sum_{x<=y} f2(x).  Only tests call it, as the reference."""
     return [sum(f1[x] * poset.mobius(x, y) for x in poset.down_set(y))
             for y in range(poset.size)]
 
@@ -308,8 +306,7 @@ def decide_isomorphic_by_counting(a: Structure, b: Structure) -> bool:
     _check_same_signature(a, b)
     if a.size != b.size or any(len(r) != len(s) for r, s in zip(a.relations, b.relations)):
         return False
-    for p in set_partitions(a.size):
-        test = collapse_structure(a, p)[0]
+    for _, test in _search_plan(a).quotients:
         if hom_count(test, a) != hom_count(test, b):
             return False
     return True

@@ -163,14 +163,15 @@ class QuotientPoset:
 
 def quotient_poset(c: Structure) -> QuotientPoset:
     """The partition-keyed quotient poset of c, classes in `set_partitions`
-    order.
+    order, read from the quotients on c's search record.
 
     Each class's codomain is the collapse of c by its kernel partition, so
     the projection onto it is a quotient under both factorisation systems and
     the poset is the same for both; the identity class is the top element.
     """
-    partitions = tuple(set_partitions(c.size))
-    labels = [block_labels(partition, c.size) for partition in partitions]
+    from .homsearch import _search_plan  # homsearch imports this module
+    classes = tuple(QuotientClass(p, q) for p, q in _search_plan(c).quotients)
+    labels = [block_labels(e.partition, c.size) for e in classes]
     index = {s: i for i, s in enumerate(labels)}
     # The partitions coarser than p are p's blocks merged by each partition of
     # p's block numbers; composing growth strings gives the merged one.
@@ -182,8 +183,6 @@ def quotient_poset(c: Structure) -> QuotientPoset:
             merges[k] = list(_growth_strings(k))
         for m in merges[k]:
             up_sets[index[tuple([m[b] for b in s])]].append(j)
-    classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
-                    for partition in partitions)
     poset = FinitePoset(len(classes), up_sets)
     top = poset.top()
     assert top is not None and len(classes[top].partition) == c.size

@@ -28,12 +28,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import InvariantViolationError
-from .homsearch import hom_count, iter_hom_maps
-from .quotposet import (
-    Partition,
-    collapse_structure,
-    set_partitions,
-)
+from .homsearch import _search_plan, hom_count, iter_hom_maps
+from .quotposet import Partition
 from .sigstruct import (
     SE_M,
     E_SM,
@@ -188,16 +184,15 @@ def kernel_decomposition(c: Structure, a: Structure,
                          system: FactorisationSystem = SE_M) -> KernelDecomposition:
     """Decompose hom(c, a) over the quotient classes of c.
 
-    Under SE_M one row per kernel partition (image codomain), zero rows
-    included.  Under E_SM the quotient classes carry expanded codomains and
-    only the realized (non-zero) classes are listed.  The row totals must add
-    up to the homomorphism count; a mismatch is an implementation bug and
-    raises rather than reporting a best-effort table.
+    Under SE_M one row per kernel partition (image codomain, read from c's
+    record), zero rows included.  Under E_SM the quotient classes carry
+    expanded codomains and only the realized (non-zero) classes are listed.
+    The row totals must add up to the homomorphism count; a mismatch is an
+    implementation bug and raises rather than reporting a best-effort table.
     """
     _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     if system is SE_M:
-        classes = [(partition, collapse_structure(c, partition)[0])
-                   for partition in set_partitions(c.size)]
+        classes = _search_plan(c).quotients
     else:
         classes = [(partition, codomain) for (partition, _), codomain
                    in _realized_quotients(c, a).items()]

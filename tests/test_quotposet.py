@@ -1,13 +1,22 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import digraph, no_relation
+from homcount import lovasz
 from homcount.errors import CapExceededError
-from homcount.lovasz import _factorisation_up_sets, embeddings_via_mobius, mobius_invert_ints
+from homcount.homsearch import _search_plan
+from homcount.lovasz import (
+    _factorisation_up_sets,
+    _top_column,
+    decide_isomorphic_by_counting,
+    embeddings_via_mobius,
+    mobius_invert_ints,
+)
 from homcount.quotposet import (
     PARTITION_SIZE_CAP,
     FinitePoset,
@@ -151,6 +160,106 @@ def test_quotient_poset_cap():
     # set_partitions owns the cap and refuses at the call, not at the first next()
     with pytest.raises(CapExceededError, match="PARTITION_SIZE_CAP"):
         set_partitions(9)
+
+
+def _esm_classes(c, a):
+    """The E_SM classes embeddings_via_mobius sums over (the classes realized
+    by maps c -> a, and the top), their up-sets and the top's index."""
+    top = (tuple((x,) for x in range(c.size)), c.relations)
+    realized = {**_realized_quotients(c, a), top: c}
+    keys = list(realized)
+    return realized, _factorisation_up_sets(keys, c.size), keys.index(top)
+
+
+def test_top_column_matches_the_full_inversion():
+    # mu(-, top) by the column recursion against FinitePoset.mobius, read
+    # through mobius_invert_ints over a poset of the same up-sets, and the
+    # embedding count against the naive strong-mono count.
+    rng = random.Random(41)
+    loops = digraph(3, {(0, 0), (0, 1), (1, 2)})
+    pairs = [(loops, digraph(4, {(0, 0), (1, 1), (0, 1), (1, 2), (2, 0), (3, 3)})),
+             (loops, no_relation(0))]
+    for signature, p_rel in ((Signature((("E", 2),)), 0.35),
+                             (Signature((("E", 2), ("R", 3))), 0.1)):
+        pairs.append((random_structure(rng, signature, 0, p_rel),
+                       random_structure(rng, signature, 3, 2 * p_rel)))
+        pairs.append((random_structure(rng, signature, 3, p_rel),
+                       random_structure(rng, signature, 0, p_rel)))
+        for _ in range(12):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            pairs.append((random_structure(rng, signature, n, p_rel),
+                          random_structure(rng, signature, m, 2 * p_rel)))
+    for c, a in pairs:
+        realized, up_sets, top = _esm_classes(c, a)
+        mu = _top_column(up_sets, top)
+        poset = FinitePoset(len(up_sets), up_sets)
+        assert mu == [mobius_invert_ints(poset, [int(y == x) for y in range(poset.size)])[top]
+                      for x in range(poset.size)], (c, a)
+        want = naive_count(c, a, MorphismClass.STRONG_MONO, E_SM)
+        assert mobius_invert_ints(poset, [naive_count(q, a) for q in realized.values()])[top] \
+            == want
+        assert embeddings_via_mobius(c, a, E_SM) == want, (c, a)
+
+
+def test_mobius_sum_builds_no_poset(monkeypatch):
+    # Both systems sum mu(x, top) hom(cod x, a) with no poset and no
+    # inversion; E_SM counts each class with mu != 0 once, and skips the rest.
+    c = digraph(4, {(0, 1), (0, 3), (1, 1), (1, 3), (2, 2), (3, 0)})
+    a = digraph(6, set(c.relation("E")) | {(0, 4), (1, 4), (3, 5), (4, 3), (4, 4),
+                                             (4, 5), (5, 0), (5, 1), (5, 2)})
+    realized, up_sets, top = _esm_classes(c, a)
+    nonzero = [q for m, q in zip(_top_column(up_sets, top), realized.values()) if m]
+    assert 0 < len(nonzero) < len(realized)
+    want = {E_SM: naive_count(c, a, MorphismClass.STRONG_MONO, E_SM),
+            SE_M: naive_count(c, a, MorphismClass.MONO, SE_M)}
+    assert want[E_SM] > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poset work while counting embeddings")
+
+    monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    monkeypatch.setattr(FinitePoset, "mobius", refuse)
+    monkeypatch.setattr(lovasz, "mobius_invert_ints", refuse)
+    counted = []
+    hom_count = lovasz.hom_count
+    monkeypatch.setattr(lovasz, "hom_count", lambda q, b: counted.append(q) or hom_count(q, b))
+    assert embeddings_via_mobius(c, a, E_SM) == want[E_SM]
+    assert counted == nonzero
+    counted.clear()
+    assert embeddings_via_mobius(c, a, SE_M) == want[SE_M]
+    assert counted == [q for _, q in _search_plan(c).quotients]
+
+
+def test_quotients_are_collapsed_once_per_record(monkeypatch):
+    # The SE_M Moebius sum, the SE_M kernel, the isomorphism decision and
+    # the quotient poset all read c's quotients from its record, so c is
+    # collapsed B(|c|) times in all, and again once the record is dropped.
+    collapse = sys.modules["homcount.quotposet"].collapse_structure
+    collapsed = []
+
+    def spy(s, partition):
+        collapsed.append(s)
+        return collapse(s, partition)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homcount."):
+            for attr, value in list(vars(module).items()):
+                if value is collapse:
+                    monkeypatch.setattr(module, attr, spy)
+    c = digraph(4, {(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)})
+    twin = digraph(4, {(2, 3), (3, 0), (0, 1), (1, 2), (3, 3)})
+    rng = random.Random(43)
+    _search_plan.cache_clear()
+    for n in (2, 4, 5):
+        a = digraph(n, {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.5})
+        assert embeddings_via_mobius(c, a, SE_M) == naive_count(c, a, MorphismClass.MONO)
+    kernel_decomposition(c, a, SE_M)
+    assert decide_isomorphic_by_counting(c, twin)
+    assert len(quotient_poset(c)) == bell(4)
+    assert collapsed == [c] * bell(4)
+    _search_plan.cache_clear()
+    assert len(quotient_poset(c)) == bell(4)
+    assert collapsed == [c] * (2 * bell(4))
 
 
 def test_collapse_structure_images():

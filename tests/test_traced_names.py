@@ -85,3 +85,39 @@ def test_every_name_perfbench_calls_resolves():
     handlers = importlib.import_module("homcount.cli")._HANDLERS
     assert isinstance(handlers, dict) and handlers
     assert all(callable(h) for h in handlers.values())
+
+
+SRC = TRACER.parents[1] / "src" / "homcount"
+# The caches the workloads leave filled, each with the reason it may stay
+# warm from one op to the next.
+KEPT = {
+    ("homcount.homsearch", "_map_space"):
+        "keyed by a size pair (n, m): the bitsets of all maps [n] -> [m]",
+    ("homcount.cklogic", "_tw_level"):
+        "a family of test structures per (signature, k, size), like a catalogue level",
+    ("homcount.profinite", "_as_structure"):
+        "keyed by a group: its multiplication graph, a rewrite that holds no count",
+    ("homcount.trees", "_encodings_of_size"):
+        "keyed by a size: the encodings of the rooted trees with that many nodes",
+}
+
+
+def _lru_caches():
+    """(module, function) for every function in src/homcount decorated with
+    functools' lru_cache or cache, at any depth."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if (_dotted(target) or "").rsplit(".", 1)[-1] in ("lru_cache", "cache"):
+                        found.add((f"homcount.{path.stem}", node.name))
+    return found
+
+
+def test_every_cache_is_emptied_or_kept_for_a_reason():
+    # A new cache could let the benchmark's ops warm each other: it must
+    # join the caches the workloads empty, or be kept here with a reason.
+    assert all(KEPT.values())
+    assert _lru_caches() == set(CLEARED) | set(KEPT)
