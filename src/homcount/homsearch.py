@@ -131,7 +131,8 @@ class _Record:
     masks out, at each step, the values that would.
     Each plan is compiled the first time a count reads it, so a structure
     used only as a target never pays for them.  `quotients`, the pairs (P,
-    c collapsed by P) in `set_partitions` order, serves every sum over them.
+    c/P) in `set_partitions` order, serves the SE_M Moebius sum and kernel,
+    which meet c with many targets; one-off readers collapse as they go.
 
     As a target: `table(key)`, built the first time a search or the frontier
     DP asks for it, and `tuple_masks[n]`, for patterns of size n, the pair

@@ -23,7 +23,13 @@ from functools import lru_cache
 
 from .errors import cap_exceeded
 from .homsearch import _search_plan, count_morphisms, hom_count
-from .quotposet import block_labels, partition_mobius
+from .quotposet import (
+    _top_column,
+    block_labels,
+    collapse_structure,
+    partition_mobius,
+    set_partitions,
+)
 from .sigstruct import (
     SE_M,
     FactorisationSystem,
@@ -223,28 +229,25 @@ def embeddings_via_mobius(c: Structure, a: Structure,
     on c's record, with mu(x, top) in closed form (`partition_mobius`).
     Under E_SM they are the classes realized by maps into a, plus the top:
     every class with a generic map into a is among them, so the sum is
-    exact, and `_top_column` gives their mu.  No class with mu 0 is counted.
+    exact, and `quotposet._top_column` gives their mu.  No class with mu 0
+    is counted.
     """
     _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     if system is SE_M:
         terms = [(partition_mobius(p), q) for p, q in _search_plan(c).quotients]
     else:
-        top = (tuple((x,) for x in range(c.size)), c.relations)
-        realized = {**_realized_quotients(c, a), top: c}
-        keys = list(realized)
-        mu = _top_column(_factorisation_up_sets(keys, c.size), keys.index(top))
-        terms = zip(mu, realized.values())
+        realized, up_sets, top = _esm_classes(c, a)
+        terms = zip(_top_column(up_sets, top), realized.values())
     return sum(m * hom_count(q, a) for m, q in terms if m)
 
 
-def _top_column(up_sets, top: int) -> list[int]:
-    """mu(x, top) for each x of a poset given by its up-sets, `top` its
-    greatest element: 1 at the top, else minus the sum of mu(z, top) over
-    the z > x, each visited first since its up-set is smaller than x's."""
-    mu = [0] * len(up_sets)
-    for x in sorted(range(len(up_sets)), key=lambda i: len(up_sets[i])):
-        mu[x] = 1 if x == top else -sum(mu[z] for z in up_sets[x] if z != x)
-    return mu
+def _esm_classes(c: Structure, a: Structure):
+    """The E_SM classes of the Moebius sum, {key: codomain} for those realized
+    by maps c -> a and the top; their up-sets in that order; the top's index."""
+    top = (tuple((x,) for x in range(c.size)), c.relations)
+    realized = {**_realized_quotients(c, a), top: c}
+    keys = list(realized)
+    return realized, _factorisation_up_sets(keys, c.size), keys.index(top)
 
 
 def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
@@ -306,7 +309,8 @@ def decide_isomorphic_by_counting(a: Structure, b: Structure) -> bool:
     _check_same_signature(a, b)
     if a.size != b.size or any(len(r) != len(s) for r, s in zip(a.relations, b.relations)):
         return False
-    for _, test in _search_plan(a).quotients:
+    for p in set_partitions(a.size):
+        test = collapse_structure(a, p)[0]
         if hom_count(test, a) != hom_count(test, b):
             return False
     return True

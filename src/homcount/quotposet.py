@@ -141,6 +141,16 @@ class FinitePoset:
         return tops[0] if len(tops) == 1 else None
 
 
+def _top_column(up_sets, top: int) -> list[int]:
+    """mu(x, top) for each x of the poset with these up-sets and greatest
+    element `top`, with no FinitePoset built: 1 at the top, else minus the
+    sum over the z > x, each visited first since its up-set is smaller."""
+    mu = [0] * len(up_sets)
+    for x in sorted(range(len(up_sets)), key=lambda i: len(up_sets[i])):
+        mu[x] = 1 if x == top else -sum(mu[z] for z in up_sets[x] if z != x)
+    return mu
+
+
 @dataclass(frozen=True)
 class QuotientClass:
     partition: Partition
@@ -163,15 +173,14 @@ class QuotientPoset:
 
 def quotient_poset(c: Structure) -> QuotientPoset:
     """The partition-keyed quotient poset of c, classes in `set_partitions`
-    order, read from the quotients on c's search record.
+    order.
 
     Each class's codomain is the collapse of c by its kernel partition, so
     the projection onto it is a quotient under both factorisation systems and
     the poset is the same for both; the identity class is the top element.
     """
-    from .homsearch import _search_plan  # homsearch imports this module
-    classes = tuple(QuotientClass(p, q) for p, q in _search_plan(c).quotients)
-    labels = [block_labels(e.partition, c.size) for e in classes]
+    partitions = tuple(set_partitions(c.size))
+    labels = [block_labels(partition, c.size) for partition in partitions]
     index = {s: i for i, s in enumerate(labels)}
     # The partitions coarser than p are p's blocks merged by each partition of
     # p's block numbers; composing growth strings gives the merged one.
@@ -183,6 +192,8 @@ def quotient_poset(c: Structure) -> QuotientPoset:
             merges[k] = list(_growth_strings(k))
         for m in merges[k]:
             up_sets[index[tuple([m[b] for b in s])]].append(j)
+    classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
+                    for partition in partitions)
     poset = FinitePoset(len(classes), up_sets)
     top = poset.top()
     assert top is not None and len(classes[top].partition) == c.size

@@ -11,8 +11,8 @@ from homcount import lovasz
 from homcount.errors import CapExceededError
 from homcount.homsearch import _search_plan
 from homcount.lovasz import (
+    _esm_classes,
     _factorisation_up_sets,
-    _top_column,
     decide_isomorphic_by_counting,
     embeddings_via_mobius,
     mobius_invert_ints,
@@ -20,6 +20,7 @@ from homcount.lovasz import (
 from homcount.quotposet import (
     PARTITION_SIZE_CAP,
     FinitePoset,
+    _top_column,
     collapse_structure,
     partition_mobius,
     quotient_poset,
@@ -162,15 +163,6 @@ def test_quotient_poset_cap():
         set_partitions(9)
 
 
-def _esm_classes(c, a):
-    """The E_SM classes embeddings_via_mobius sums over (the classes realized
-    by maps c -> a, and the top), their up-sets and the top's index."""
-    top = (tuple((x,) for x in range(c.size)), c.relations)
-    realized = {**_realized_quotients(c, a), top: c}
-    keys = list(realized)
-    return realized, _factorisation_up_sets(keys, c.size), keys.index(top)
-
-
 def test_top_column_matches_the_full_inversion():
     # mu(-, top) by the column recursion against FinitePoset.mobius, read
     # through mobius_invert_ints over a poset of the same up-sets, and the
@@ -230,15 +222,15 @@ def test_mobius_sum_builds_no_poset(monkeypatch):
     assert counted == [q for _, q in _search_plan(c).quotients]
 
 
-def test_quotients_are_collapsed_once_per_record(monkeypatch):
-    # The SE_M Moebius sum, the SE_M kernel, the isomorphism decision and
-    # the quotient poset all read c's quotients from its record, so c is
-    # collapsed B(|c|) times in all, and again once the record is dropped.
+@pytest.fixture
+def collapsed(monkeypatch):
+    """The structures collapse_structure is called on, in call order, from
+    every module of the package that imports it."""
     collapse = sys.modules["homcount.quotposet"].collapse_structure
-    collapsed = []
+    calls = []
 
     def spy(s, partition):
-        collapsed.append(s)
+        calls.append(s)
         return collapse(s, partition)
 
     for name, module in list(sys.modules.items()):
@@ -246,20 +238,42 @@ def test_quotients_are_collapsed_once_per_record(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is collapse:
                     monkeypatch.setattr(module, attr, spy)
+    return calls
+
+
+def test_quotients_are_collapsed_once_per_record(collapsed):
+    # The SE_M Moebius sum and the SE_M kernel read c's quotients from its
+    # record, so c is collapsed B(|c|) times for any number of targets, and
+    # again once the record is dropped.
     c = digraph(4, {(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)})
-    twin = digraph(4, {(2, 3), (3, 0), (0, 1), (1, 2), (3, 3)})
     rng = random.Random(43)
     _search_plan.cache_clear()
     for n in (2, 4, 5):
         a = digraph(n, {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.5})
         assert embeddings_via_mobius(c, a, SE_M) == naive_count(c, a, MorphismClass.MONO)
-    kernel_decomposition(c, a, SE_M)
-    assert decide_isomorphic_by_counting(c, twin)
-    assert len(quotient_poset(c)) == bell(4)
+        kernel_decomposition(c, a, SE_M)
     assert collapsed == [c] * bell(4)
     _search_plan.cache_clear()
+    kernel_decomposition(c, a, SE_M)
+    assert collapsed == [c] * (2 * bell(4))
+
+
+def test_one_off_readers_keep_no_quotients(collapsed):
+    # The isomorphism decision and the quotient poset collapse as they go
+    # and leave nothing on the record: decide stops at the first quotient
+    # whose counts differ, and neither keeps B(|c|) structures alive.
+    c = digraph(4, {(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)})
+    twin = digraph(4, {(2, 3), (3, 0), (0, 1), (1, 2), (3, 3)})
+    _search_plan.cache_clear()
+    assert decide_isomorphic_by_counting(c, twin)
     assert len(quotient_poset(c)) == bell(4)
     assert collapsed == [c] * (2 * bell(4))
+    assert "quotients" not in vars(_search_plan(c))
+    # One point with a loop counts 1 into `loop`, 0 into `arc`.
+    loop, arc = digraph(2, {(0, 0)}), digraph(2, {(0, 1)})
+    collapsed.clear()
+    assert not decide_isomorphic_by_counting(loop, arc)
+    assert collapsed == [loop]
 
 
 def test_collapse_structure_images():
