@@ -22,9 +22,10 @@ so the SE_M quotients are checked on complete maps only.  A count that needs
 no such check adds the popcount of the last step's mask instead of visiting
 its maps.
 
-One rule (`_counter`) chooses the path of a count with no witnesses and no
-reflection check on complete maps, from the sizes and the pattern's frontier
-width:
+`_count` is the one count entry, returning an int; `count_morphisms` wraps
+it in a `CountResult` at the public edge.  Size-0 patterns and the SE_M
+quotients stay on listing; for every other count one rule (`_counter`)
+chooses the path, from the sizes and the pattern's frontier width:
 
 * The table path, when the count ranges over few maps: |a|^|c| <=
   `_TABLE_MAPS`.  Every map c -> a is one bit of an int.  The bitsets that
@@ -77,7 +78,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 
 from .quotposet import collapse_structure, set_partitions
@@ -604,6 +605,16 @@ def _maps(c: Structure, a: Structure, injective: bool, surjective: bool,
                 yield f
 
 
+def _count(c: Structure, a: Structure, injective: bool, surjective: bool,
+           reflects: bool) -> int:
+    """The number of maps c -> a of the class with these rules, with no
+    signature check: by listing for size-0 patterns and the SE_M quotients
+    (checked for reflection once complete), else on `_counter`'s path."""
+    if c.size == 0 or (reflects and surjective):
+        return sum(1 for _ in _maps(c, a, injective, surjective, reflects))
+    return _counter(c, a, injective, surjective)(c, a, injective, surjective, reflects)
+
+
 def count_morphisms(
     c: Structure,
     a: Structure,
@@ -616,23 +627,13 @@ def count_morphisms(
     _check_same_signature(c, a)
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 when given")
-
-    injective, surjective, reflects = _class_rules(cls, system)
-    if not enumerate_witnesses and not (reflects and surjective) and c.size > 0:
-        path = _counter(c, a, injective, surjective)
-        return CountResult(path(c, a, injective, surjective, reflects))
-
-    count = 0
-    witnesses = []
-    truncated = False
-    for f in _maps(c, a, injective, surjective, reflects):
-        count += 1
-        if enumerate_witnesses:
-            if limit is not None and len(witnesses) >= limit:
-                truncated = True
-            else:
-                witnesses.append(Morphism.build(c, a, f))
-    return CountResult(count, tuple(witnesses) if enumerate_witnesses else None, truncated)
+    rules = _class_rules(cls, system)
+    if not enumerate_witnesses:
+        return CountResult(_count(c, a, *rules))
+    maps = _maps(c, a, *rules)
+    witnesses = tuple(Morphism.build(c, a, f) for f in islice(maps, limit))
+    rest = sum(1 for _ in maps)
+    return CountResult(len(witnesses) + rest, witnesses, rest > 0)
 
 
 def iter_hom_maps(c: Structure, a: Structure, cls: MorphismClass = MorphismClass.HOM,
@@ -644,5 +645,6 @@ def iter_hom_maps(c: Structure, a: Structure, cls: MorphismClass = MorphismClass
 
 
 def hom_count(c: Structure, a: Structure) -> int:
-    """Shorthand for the plain homomorphism count."""
-    return count_morphisms(c, a).count
+    """The plain homomorphism count."""
+    _check_same_signature(c, a)
+    return _count(c, a, False, False, False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import cap_exceeded
-from .homsearch import _search_plan, count_morphisms, hom_count
+from .homsearch import _count, _search_plan, hom_count
 from .quotposet import (
     _top_column,
     block_labels,
@@ -83,12 +83,13 @@ class DistinguishResult:
         return self.verdict == DISTINGUISHED
 
 
-def _count_side(test: Structure, subject: Structure, side: str,
-                cls: MorphismClass, system: FactorisationSystem) -> int:
+def _side_count(side: str, cls: MorphismClass, system: FactorisationSystem):
+    """(test, subject) -> count on this side; an unknown side or class is refused."""
+    rules = _class_rules(cls, system)
     if side == RIGHT:
-        return count_morphisms(test, subject, cls, system).count
+        return lambda test, subject: _count(test, subject, *rules)
     if side == LEFT:
-        return count_morphisms(subject, test, cls, system).count
+        return lambda test, subject: _count(subject, test, *rules)
     raise ValueError(f"side must be {RIGHT!r} or {LEFT!r}, got {side!r}")
 
 
@@ -96,9 +97,11 @@ def hom_profile(a: Structure, family, side: str = RIGHT,
                 cls: MorphismClass = MorphismClass.HOM,
                 system: FactorisationSystem = SE_M) -> HomProfile:
     """Exact morphism counts of a against each family member, in order."""
+    count = _side_count(side, cls, system)
     family = tuple(family)
-    counts = tuple(_count_side(t, a, side, cls, system) for t in family)
-    return HomProfile(a, family, counts, side)
+    for t in family:
+        _check_same_signature(t, a)
+    return HomProfile(a, family, tuple(count(t, a) for t in family), side)
 
 
 def _catalogue(structures) -> tuple[Structure, ...]:
@@ -287,9 +290,9 @@ def distinguish(a: Structure, b: Structure, budget: int,
     """First enumerated test structure whose hom counts against a and b
     differ."""
     _check_same_signature(a, b)
+    count = _side_count(side, MorphismClass.HOM, SE_M)
     for test in iter_structures(a.signature, budget):
-        na = _count_side(test, a, side, MorphismClass.HOM, SE_M)
-        nb = _count_side(test, b, side, MorphismClass.HOM, SE_M)
+        na, nb = count(test, a), count(test, b)
         if na != nb:
             return DistinguishResult(test, (na, nb), DISTINGUISHED)
     return DistinguishResult(None, None, PROFILES_EQUAL)

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvariantViolationError
-from .homsearch import count_morphisms, iter_hom_maps
+from .homsearch import _count, hom_count, iter_hom_maps
 from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult
-from .sigstruct import MorphismClass, Signature, Structure, is_homomorphism
+from .sigstruct import SE_M, MorphismClass, Signature, Structure, _class_rules, is_homomorphism
 
 _GROUP_SIGNATURE = Signature((("M", 3),))
 
@@ -120,7 +120,7 @@ def enumerate_group_homs(g: FiniteGroup, c: FiniteGroup) -> list[tuple[int, ...]
 
 
 def count_group_homs(g: FiniteGroup, c: FiniteGroup) -> int:
-    return count_morphisms(_as_structure(g), _as_structure(c)).count
+    return hom_count(_as_structure(g), _as_structure(c))
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ def distinguish_towers(t1: Tower, t2: Tower, family) -> DistinguishResult:
 
 
 def has_surjection(g: FiniteGroup, c: FiniteGroup) -> bool:
-    return count_morphisms(_as_structure(g), _as_structure(c),
-                           MorphismClass.SURJECTION).count > 0
+    rules = _class_rules(MorphismClass.SURJECTION, SE_M)
+    return _count(_as_structure(g), _as_structure(c), *rules) > 0
 
 
 def surjection_profile(t: Tower, family) -> tuple[bool, ...]:

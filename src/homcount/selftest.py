@@ -31,6 +31,7 @@ from .lovasz import (
     distinguish,
     embeddings_via_mobius,
     enumerate_structures,
+    _side_count,
     _structures_of_size,
 )
 from .profinite import (
@@ -49,6 +50,7 @@ from .sigstruct import (
     GRAPH_SIGNATURE,
     SE_M,
     Morphism,
+    MorphismClass,
     Structure,
     _image,
     canonical_form,
@@ -98,27 +100,24 @@ class CriterionResult:
 
 
 def _refine_to_singletons(classes, tests, side):
-    """Split the classes by morphism counts against successive tests, skipping
-    buckets already singleton.  Returns (fully separated, tests consumed,
-    counts computed)."""
-    groups = [list(classes)]
-    used = 0
-    computed = 0
+    """Split the classes by hom counts against successive tests, keeping only
+    groups of two or more: (fully separated, tests consumed, counts computed)."""
+    count = _side_count(side, MorphismClass.HOM, SE_M)
+    live = [classes] if len(classes) > 1 else []
+    used = computed = 0
     for t in tests:
-        live = [g for g in groups if len(g) > 1]
         if not live:
             break
         used += 1
-        next_groups = [g for g in groups if len(g) == 1]
+        next_live = []
         for g in live:
             split = {}
             for s in g:
-                n = hom_count(t, s) if side == RIGHT else hom_count(s, t)
-                computed += 1
-                split.setdefault(n, []).append(s)
-            next_groups.extend(split.values())
-        groups = next_groups
-    return all(len(g) == 1 for g in groups), used, computed
+                split.setdefault(count(t, s), []).append(s)
+            computed += len(g)
+            next_live.extend(part for part in split.values() if len(part) > 1)
+        live = next_live
+    return bool(classes) and not live, used, computed
 
 
 def criterion_1_lovasz_completeness(level: str) -> tuple[bool, str]:

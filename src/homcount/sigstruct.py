@@ -157,23 +157,19 @@ def reflects_relations(f, c: Structure, a: Structure) -> bool:
     return True
 
 
-# Enum attribute lookups are slow; the class rule runs once per count.
-_HOM, _MONO, _STRONG_MONO = MorphismClass.HOM, MorphismClass.MONO, MorphismClass.STRONG_MONO
-_SURJECTION, _QUOTIENT = MorphismClass.SURJECTION, MorphismClass.QUOTIENT
-
-
 def _class_rules(cls: MorphismClass, system: FactorisationSystem):
     """(injective, surjective, reflects) for the class: its maps are the
     homomorphisms that are injective, surjective and reflect every relation
     symbol where the rule asks for it.  A class that is not a MorphismClass,
     or a system that is not a FactorisationSystem, raises ValueError."""
-    injective = cls is _MONO or cls is _STRONG_MONO
-    surjective = cls is _SURJECTION or cls is _QUOTIENT
-    if not (injective or surjective or cls is _HOM):
+    injective = cls is MorphismClass.MONO or cls is MorphismClass.STRONG_MONO
+    surjective = cls is MorphismClass.SURJECTION or cls is MorphismClass.QUOTIENT
+    if not (injective or surjective or cls is MorphismClass.HOM):
         raise ValueError(f"unknown morphism class {cls}")
     if system is not SE_M and system is not E_SM:
         raise ValueError(f"unknown factorisation system {system}")
-    reflects = cls is _STRONG_MONO or (cls is _QUOTIENT and system is SE_M)
+    reflects = (cls is MorphismClass.STRONG_MONO
+                or (cls is MorphismClass.QUOTIENT and system is SE_M))
     return injective, surjective, reflects
 
 

@@ -10,13 +10,17 @@ from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
 from homcount import homsearch, sigstruct
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
+from homcount.cklogic import ck_profile_equal
 from homcount.lovasz import (
     LEFT,
+    RIGHT,
     _structures_of_size,
     decide_isomorphic_by_counting,
+    distinguish,
     embeddings_via_mobius,
     hom_profile,
 )
+from homcount.profinite import count_group_homs, cyclic_group, direct_product
 from homcount.selftest import full_acceptance
 from homcount.sigstruct import (
     E_SM,
@@ -26,10 +30,11 @@ from homcount.sigstruct import (
     Signature,
     Structure,
     disjoint_union,
+    embedding_class,
     validate_morphism,
 )
 from homcount.stirling import generic_count, kernel_decomposition
-from oracles import naive_count, naive_morphisms
+from oracles import naive_count, naive_group_homs, naive_morphisms
 
 CLS = MorphismClass
 
@@ -163,16 +168,66 @@ def test_an_unknown_class_or_system_is_refused(k3):
         lambda: embeddings_via_mobius(arc, k2_loop, "se-m"),
         lambda: generic_count(arc, k2_loop, "se-m"),
         lambda: kernel_decomposition(no_relation(2), k2_loop, "se-m"),
+        # refused before the loop, so an empty family is refused too
+        lambda: hom_profile(k3, [], RIGHT, "strong-mono"),
+        lambda: hom_profile(k3, [], RIGHT, CLS.HOM, "se-m"),
     ]
     for call in refused:
         with pytest.raises(ValueError, match="unknown (morphism class|factorisation system)"):
             call()
+    for family in ([], [arc]):
+        with pytest.raises(ValueError, match="side must be"):
+            hom_profile(k3, family, "sideways")
 
 
 def test_signature_mismatch(k3):
     other = Structure.build(Signature((("R", 3),)), 2, {})
     with pytest.raises(SignatureMismatchError):
         count_morphisms(k3, other)
+
+
+def test_no_internal_count_builds_a_count_result(monkeypatch, k3, c6, two_c3):
+    # CountResult is built at the public edge only: with it refused, every
+    # counting loop of the package still gives the values it gave when its
+    # counts went through count_morphisms.
+    def refuse(*args, **kwargs):
+        raise AssertionError("CountResult built by an internal count")
+
+    monkeypatch.setattr(homsearch, "CountResult", refuse)
+    with pytest.raises(AssertionError, match="CountResult"):
+        count_morphisms(k3, k3)
+    a = digraph(3, {(0, 1), (1, 0), (1, 2), (2, 2)})
+    family = [no_relation(0), digraph(1, {(0, 0)}), digraph(2, {(0, 1)}), k3,
+              digraph(3, {(0, 1), (1, 2), (2, 0), (1, 1)})]
+    assert hom_count(k3, c6) == 0
+    assert hom_count(family[-1], a) == naive_count(family[-1], a)
+    for cls in CLS:
+        for system in (SE_M, E_SM):
+            assert hom_profile(a, family, RIGHT, cls, system).counts == tuple(
+                naive_count(t, a, cls, system) for t in family)
+            assert hom_profile(a, family, LEFT, cls, system).counts == tuple(
+                naive_count(a, t, cls, system) for t in family)
+    triangle = digraph(3, {(0, 1), (1, 2), (2, 1), (2, 0), (0, 2), (1, 0)})
+    verdict = distinguish(c6, two_c3, 3, RIGHT)
+    assert (verdict.witness, verdict.counts) == (triangle, (0, 12))
+    verdict = distinguish(c6, two_c3, 3, LEFT)
+    assert (verdict.witness, verdict.counts) == (digraph(2, {(1, 0), (1, 1), (0, 0)}), (2, 4))
+    assert not decide_isomorphic_by_counting(c6, two_c3)
+    assert decide_isomorphic_by_counting(k3, digraph(3, set(k3.relation("E"))))
+    assert ck_profile_equal(c6, two_c3, 2, 4, undirected=True).equivalent
+    verdict = ck_profile_equal(c6, two_c3, 3, 3, undirected=True)
+    assert (verdict.witness, verdict.counts) == (triangle, (0, 12))
+    c = digraph(3, {(0, 1), (1, 2), (2, 2)})
+    target = digraph(3, {(0, 1), (1, 0), (1, 2), (2, 2), (0, 0)})
+    for system, generic in ((SE_M, (2, 0, 1, 2, 1)), (E_SM, (2, 1, 1, 1, 1))):
+        assert embeddings_via_mobius(family[-1], a, system) == naive_count(
+            family[-1], a, embedding_class(system), system)
+        decomposition = kernel_decomposition(c, target, system)
+        assert tuple(row.generic for row in decomposition.rows) == generic
+        assert decomposition.total == decomposition.homcount == 6
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    for g, h in ((z4, z2), (direct_product(z2, z2), z4), (z2, direct_product(z2, z2))):
+        assert count_group_homs(g, h) == len(naive_group_homs(g, h))
 
 
 def test_class_count_inequalities():

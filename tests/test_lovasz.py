@@ -5,7 +5,8 @@ import pytest
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation
 from homcount import lovasz
-from homcount.errors import CapExceededError
+from homcount.errors import CapExceededError, SignatureMismatchError
+from homcount.quotposet import collapse_structure
 from homcount.homsearch import count_morphisms, hom_count
 from homcount.lovasz import (
     DISTINGUISHED,
@@ -23,6 +24,7 @@ from homcount.sigstruct import (
     E_SM,
     GRAPH_SIGNATURE,
     SE_M,
+    MorphismClass,
     Signature,
     Structure,
     _image,
@@ -30,7 +32,13 @@ from homcount.sigstruct import (
     canonical_form,
     embedding_class,
 )
-from oracles import all_candidates_level, brute_isomorphic
+from oracles import (
+    all_candidates_level,
+    brute_isomorphic,
+    naive_count,
+    naive_morphisms,
+    satisfies,
+)
 
 
 def random_digraph(rng, n, p=0.35):
@@ -51,6 +59,51 @@ def test_hom_profile_empty_family(k3):
 def test_hom_profile_self_is_positive(k3, c6):
     for a in (k3, c6):
         assert hom_profile(a, [a]).counts[0] >= 1
+
+
+def random_structure(rng, signature, n, p):
+    return Structure(signature, n, tuple(
+        frozenset(t for t in itertools.product(range(n), repeat=arity) if rng.random() < p)
+        for _, arity in signature.symbols))
+
+
+def test_hom_profile_matches_the_naive_oracle_for_every_class():
+    # Every class under both systems, on both sides, on E/2 and E/2,R/3:
+    # size-0 members and subjects, loops in both, and one pair past the
+    # table path's size rule.
+    rng = random.Random("profile")
+    for signature in (GRAPH_SIGNATURE, Signature((("E", 2), ("R", 3)))):
+        loop = Structure.build(signature, 1, {"E": {(0, 0)}})
+        empty = Structure.build(signature, 0)
+        family = [empty, loop, Structure.build(signature, 1)]
+        family += [random_structure(rng, signature, n, 0.35) for n in (2, 3) for _ in range(2)]
+        subjects = [empty, loop] + [random_structure(rng, signature, n, 0.5) for n in (2, 3)]
+        for a in subjects:
+            for cls in MorphismClass:
+                for system in (SE_M, E_SM):
+                    right = hom_profile(a, family, RIGHT, cls, system)
+                    assert right.counts == tuple(naive_count(t, a, cls, system) for t in family)
+                    left = hom_profile(a, family, LEFT, cls, system)
+                    assert left.counts == tuple(naive_count(a, t, cls, system) for t in family)
+                    assert (right.side, left.side, left.family) == (RIGHT, LEFT, tuple(family))
+        # Past the table path: an induced 5-element substructure of a
+        # 6-element structure, and that structure onto a collapse of it.
+        six = random_structure(rng, signature, 6, 0.4)
+        five = Structure(signature, 5, tuple(frozenset(t for t in rel if 5 not in t)
+                                             for rel in six.relations))
+        merged = collapse_structure(six, ((0, 5), (1,), (2,), (3,), (4,)))[0]
+        for c, a in ((five, six), (six, merged)):
+            homs = naive_morphisms(c, a)
+            for cls in MorphismClass:
+                for system in (SE_M, E_SM):
+                    want = (sum(satisfies(f, c, a, cls, system) for f in homs),)
+                    assert want != (0,) or cls is not MorphismClass.HOM
+                    assert hom_profile(a, [c], RIGHT, cls, system).counts == want
+                    assert hom_profile(c, [a], LEFT, cls, system).counts == want
+        other = Structure.build(Signature((("F", 2),)), 1)
+        for side in (RIGHT, LEFT):
+            with pytest.raises(SignatureMismatchError):
+                hom_profile(subjects[-1], family + [other], side)
 
 
 def test_enumerate_structures_size_1():
