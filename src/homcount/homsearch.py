@@ -41,32 +41,55 @@ chooses the path, from the sizes and the pattern's frontier width:
   every measured size up to 4,096 maps, even or mixed from 6,561 to 7,776
   and behind from 15,625 on.  Counting 20 patterns into one target, it
   stayed ahead through 16,384 maps.
-* The frontier DP, for larger plain homomorphism counts of patterns with
-  at most `_FRONTIER_SIZE` (10) elements whose frontier stays narrow: 2w <
-  |c|.  The frontier after a step is the variables assigned so far that
-  still share a tuple with an unassigned one, and w is its largest size
-  along the pattern's greedy frontier order.  The state maps the frontier
-  values to the number of partial maps that reach them; a step ANDs the
-  target's index masks for them, and a variable that leaves the frontier at
-  its own step is summed as a popcount.  This is variable elimination with
-  bags the frontier plus the new variable, the tree-width reading of
-  Lovász's theorem (Dvořák 2010; Dell, Grohe and Rattan 2018), and it uses
-  the search's target index only.  The bound on w is the measured
-  crossover against the search (random connected `E/2` and `E/2,R/3`
-  patterns of 4 to 10 elements into random targets of 8 to 32 elements, 3
-  seeds, 1,160 pairs, one count into a fresh target): where 2w < |c| the DP
-  was faster in 450 of 561 pairs, at a median 0.44 of the search's time;
-  where |c|/2 <= w <= |c| - 3 in 78 of 273 (median 1.36x the search's
-  time), and where w >= |c| - 2 in 40 of 326 (median 1.37x).  The rule
-  picks the faster path in 931 of the 1,160 pairs, against 814 for
-  w <= |c| - 3 (summed times 2.43 s and 2.40 s; 13.6 s on the search
-  alone).  Into targets of 5 to 16 elements, 924 patterns with 2w < |c|,
-  the DP was faster in 610, and behind in the median only on 5-element
-  targets.  A 9-element path into G(40, 0.3), which the search did not
-  count in 300 s, takes milliseconds.
-* The search, for every other count: the injective and surjective classes,
-  larger or wider patterns.  Witness listing, `iter_hom_maps` and the SE_M
-  quotients always take it.
+* The frontier DP, for larger plain and surjective counts (no injective
+  rule, no reflection check) of patterns with at most `_FRONTIER_SIZE` (40)
+  elements whose frontier stays narrow: 2w < |c| and |a|^w <=
+  `_FRONTIER_STATES` (2^20).  The frontier after a step is the variables
+  assigned so far that still share a tuple with an unassigned one, and w is
+  its largest size along the pattern's greedy frontier order.  The state
+  maps the frontier values to the number of partial maps that reach them; a
+  step ANDs the target's index masks for them, and a variable that leaves
+  the frontier at its own step is summed as a popcount.  This is variable
+  elimination with bags the frontier plus the new variable, the tree-width
+  reading of Lovász's theorem (Dvořák 2010; Dell, Grohe and Rattan 2018),
+  and it uses the search's target index only.  A surjective count is
+  Möbius inversion on the Boolean lattice of a's subsets, the dual of the
+  quotient-poset inversion (Rota 1964): surj(c, a) = sum over S of
+  (-1)^|A - S| hom(c, a[S]), one pass of the DP per S with every step's
+  values restricted to S, largest S first, so that the subsets of an S
+  that counts 0 are skipped.  With 2^|a| passes, it takes the DP only into
+  targets of at most `_SURJECTIVE_TARGET` (6) elements.
+  The rule 2w < |c| is the measured crossover against the search (random
+  connected `E/2` and `E/2,R/3` patterns of 4 to 10 elements into random
+  targets of 8 to 32 elements, 3 seeds, 1,160 pairs, one count into a
+  fresh target): where 2w < |c| the DP was faster in 450 of 561 pairs, at
+  a median 0.44 of the search's time; where |c|/2 <= w <= |c| - 3 in 78 of
+  273 (median 1.36x the search's time), and where w >= |c| - 2 in 40 of 326
+  (median 1.37x).
+  The three bounds come from a second grid (BENCH_22.json): random banded
+  `E/2` patterns of 4 to 40 elements and w from 1 to 7 (`R/3` triples on
+  some), cycles and sparse random graphs, all with 2w < |c|, into random
+  targets of 2 to 32 elements; one cold count each, the search stopped
+  after 0.25 s.  Plain counts: the DP was faster in 734 of 1,017 pairs with
+  |a|^w <= 2^18 (median 0.08 of the search's time; 9.1 s summed against
+  more than 122 s, the search stopped in 456), at most 1.05 s each; with
+  2^18 < |a|^w <= 2^20 in 27 of 48 (every DP finished, in at most 5.1 s and
+  83 MB peak RSS; the search stopped in 42).  Past 2^20 it was not run.
+  Surjective counts, into targets of 2 to 8 elements (K_m, C_m, G(m, 0.6)
+  with loops, random `E/2,R/3` ones): with |a| <= 6 the DP was faster in
+  517 of 795 pairs (median 0.19 of the search's time; 4.6 s summed against
+  more than 77 s), at most 0.48 s each; on patterns of at most 10 elements,
+  where the search is cheap, in 81 of 158 (0.19 s against 3.0 s).  P10, C9
+  and G(10, 0.3) into C5 take 0.2 to 0.6 ms, against 0.09 to 1.2 ms on the
+  search.  With |a| = 8 (255 passes) the DP was faster in 96 of 150 pairs,
+  but took 31.6 s summed against at least 25.8 s, and 6 counts ran past 2 s.
+  The size bound is the grid's largest pattern: the walk is quadratic in
+  |c| (0.4 ms at 40 elements, 334 ms at 1,000, where the search counts a
+  path into K2 in 5 ms), so larger patterns stay on the search.
+* The search, for every other count: the injective classes, surjective
+  counts into larger targets, larger or wider patterns.  Witness listing,
+  `iter_hom_maps` and the SE_M quotients always take it; a listing cut at
+  its limit takes its total from `_count`.
 
 Maps are listed in lexicographic order of their values along the search's
 variable order.  Counts are plain Python integers, so they stay exact past
@@ -97,10 +120,14 @@ from .sigstruct import (
 # many maps c -> a, |a|^|c| of them, take it.
 _TABLE_MAPS = 1 << 12
 
-# The frontier DP's size rule (module docstring): plain homomorphism counts
-# above the table path's, of patterns with at most this many elements whose
-# frontier plan keeps fewer than half of them, 2w < |c|.
-_FRONTIER_SIZE = 10
+# The frontier DP's rule (module docstring): plain and surjective counts
+# above the table path's, of patterns with at most `_FRONTIER_SIZE` elements
+# whose frontier plan keeps fewer than half of them, 2w < |c|, and at most
+# `_FRONTIER_STATES` frontier values, |a|^w; surjective counts into targets
+# of at most `_SURJECTIVE_TARGET` elements, one pass per subset of a.
+_FRONTIER_SIZE = 40
+_FRONTIER_STATES = 1 << 20
+_SURJECTIVE_TARGET = 6
 
 
 @dataclass(frozen=True)
@@ -449,12 +476,18 @@ def _bind(steps, a: Structure, absent=None):
 
 def _frontier_count(c: Structure, a: Structure, injective: bool = False,
                     surjective: bool = False, reflects: bool = False) -> int:
-    """The number of homomorphisms c -> a by dynamic programming along c's
-    frontier plan: the state after step s maps the values of the frontier
-    to the number of partial maps that reach them.  Variable elimination
-    along the reverse order, with bags the frontier plus the new variable.
-    Plain homomorphisms only (the class rules must all be false).  Needs
+    """The number of homomorphisms c -> a, or of surjective ones, by dynamic
+    programming along c's frontier plan: the state after step s maps the
+    values of the frontier to the number of partial maps that reach them.
+    Variable elimination along the reverse order, with bags the frontier
+    plus the new variable.  Surjections by inclusion-exclusion over the
+    subsets S of a's values, surj(c, a) = sum over S of (-1)^|A - S|
+    hom(c, a[S]), each hom(c, a[S]) one pass with every step's values
+    restricted to S.  No injective rule and no reflection check.  Needs
     c.size >= 1."""
+    m = a.size
+    if surjective and m > c.size:
+        return 0
     table = _search_plan(a).table
     # A tuple on one variable (a loop) binds in every order: if the target
     # has no value for it, the count is 0 before the plan's steps are built.
@@ -467,10 +500,36 @@ def _frontier_count(c: Structure, a: Structure, injective: bool = False,
     bound = _bind([step for step, _, _ in plan], a)
     if bound is None:
         return 0
-    singletons = [(u,) for u in range(a.size)]
-    spread = {}  # mask -> the singletons of its values
+    steps = list(zip(bound, plan))
+    singletons = [(u,) for u in range(m)]
+    spread = {}  # mask -> the singletons of its values, shared by the passes
+    full = (1 << m) - 1
+    if not surjective:
+        return _frontier_pass(steps, full, singletons, spread)
+    # Largest S first: when hom(c, a[S]) is 0, so is every subset's count.
+    total = 0
+    dead = set()
+    for within in range(full, 0, -1):  # S empty: no map from c.size >= 1 elements
+        if within in dead:
+            continue
+        homs = _frontier_pass(steps, within, singletons, spread)
+        if homs:
+            total += -homs if (m - within.bit_count()) & 1 else homs
+        else:
+            sub = within
+            while sub:
+                dead.add(sub)
+                sub = (sub - 1) & within
+    return total
+
+
+def _frontier_pass(steps, within: int, singletons, spread) -> int:
+    """One pass of the frontier DP over the bound steps, each step's values
+    restricted to the bitmask `within`: the number of homomorphisms into the
+    substructure induced on those values."""
     state = {(): 1}
-    for (base, ones, manys), (_, keep, stays) in zip(bound, plan):
+    for (base, ones, manys), (_, keep, stays) in steps:
+        base &= within
         reached = defaultdict(int)
         for values, k in state.items():
             mask = base
@@ -513,12 +572,15 @@ def _counter(c: Structure, a: Structure, injective: bool, surjective: bool):
     """The one rule choosing the path of a count with no witnesses and no
     reflection check on complete maps (module docstring): the table path,
     the frontier DP or the search, as the function to call with (c, a,
-    injective, surjective, reflects).  Needs c.size >= 1."""
-    n = c.size
-    if a.size ** n <= _TABLE_MAPS:
+    injective, surjective, reflects).  The frontier walk is compiled only
+    when the cheaper tests leave the DP possible.  Needs c.size >= 1."""
+    n, m = c.size, a.size
+    if m ** n <= _TABLE_MAPS:
         return _table_count
-    if (injective or surjective or n > _FRONTIER_SIZE
-            or 2 * _search_plan(c).walk[0] >= n):
+    if injective or n > _FRONTIER_SIZE or (surjective and m > _SURJECTIVE_TARGET):
+        return _search_count
+    w = _search_plan(c).walk[0]
+    if 2 * w >= n or m ** w > _FRONTIER_STATES:
         return _search_count
     return _frontier_count
 
@@ -630,10 +692,12 @@ def count_morphisms(
     rules = _class_rules(cls, system)
     if not enumerate_witnesses:
         return CountResult(_count(c, a, *rules))
-    maps = _maps(c, a, *rules)
-    witnesses = tuple(Morphism.build(c, a, f) for f in islice(maps, limit))
-    rest = sum(1 for _ in maps)
-    return CountResult(len(witnesses) + rest, witnesses, rest > 0)
+    # One map past the limit tells a truncated listing, whose total is counted.
+    listed = list(islice(_maps(c, a, *rules), None if limit is None else limit + 1))
+    truncated = limit is not None and len(listed) > limit
+    witnesses = tuple(Morphism.build(c, a, f) for f in listed[:limit])
+    return CountResult(_count(c, a, *rules) if truncated else len(listed),
+                       witnesses, truncated)
 
 
 def iter_hom_maps(c: Structure, a: Structure, cls: MorphismClass = MorphismClass.HOM,

@@ -1,5 +1,6 @@
 import io
 import sys
+import time
 
 import pytest
 
@@ -118,6 +119,17 @@ def test_count_long_path_into_k2(files, capsys):
     code, out, _ = invoke(["count", c, a], capsys)
     assert code == 0
     assert out == "2\n"
+
+
+def test_count_long_path_into_k3(files, capsys):
+    # 3 * 2^39 maps, past the search's reach: counted on the frontier DP
+    arcs = " ".join(f"({i},{i + 1}) ({i + 1},{i})" for i in range(39))
+    c = files("path40.struct", f"signature E/2\nstructure path size 40\nE: {arcs}\nend\n")
+    a = files("k3.struct", K3_TEXT)
+    start = time.process_time()
+    code, out, _ = invoke(["count", c, a], capsys)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (0, "1649267441664\n")
 
 
 def test_count_signature_mismatch_exit_2(files, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
 from homcount.errors import SignatureMismatchError
-from homcount import homsearch, sigstruct
+from homcount import homsearch, profinite, sigstruct
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
 from homcount.cklogic import ck_profile_equal
 from homcount.lovasz import (
@@ -20,7 +21,7 @@ from homcount.lovasz import (
     embeddings_via_mobius,
     hom_profile,
 )
-from homcount.profinite import count_group_homs, cyclic_group, direct_product
+from homcount.profinite import count_group_homs, cyclic_group, direct_product, has_surjection
 from homcount.selftest import full_acceptance
 from homcount.sigstruct import (
     E_SM,
@@ -149,6 +150,45 @@ def test_enumeration_limit_flags_truncation(k3):
     assert res.truncated
     assert len(res.witnesses) == 2
     assert res.count == 6
+
+
+def test_a_truncated_listing_counts_its_total(monkeypatch):
+    # The listing stops one map past the limit, and the total of a truncated
+    # listing is counted, not listed.
+    pulled = []
+    real_maps = homsearch._maps
+
+    def maps(*args):
+        pulled.append(0)
+        i = len(pulled) - 1
+        for f in real_maps(*args):
+            pulled[i] += 1
+            yield f
+
+    monkeypatch.setattr(homsearch, "_maps", maps)
+    target = digraph(5, {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
+                         (4, 0), (0, 4), (0, 2), (2, 0), (1, 1), (3, 3)})
+    c6 = cycle_sym(6)  # 5^6 maps, above the table path's
+    truncated = 0
+    for cls in CLS:
+        for system in (SE_M, E_SM):
+            expected = naive_count(c6, target, cls, system)
+            for k in (1, 3, 100):
+                del pulled[:]
+                res = count_morphisms(c6, target, cls, system, enumerate_witnesses=True,
+                                      limit=k)
+                assert res.count == expected, (cls, system, k)
+                assert res.truncated == (expected > k)
+                first = list(itertools.islice(iter_hom_maps(c6, target, cls, system), k))
+                assert [m.map for m in res.witnesses] == first
+                assert pulled[0] == min(expected, k + 1)
+                truncated += res.truncated
+    assert truncated
+    # 6 * 5^8 maps, of which 4 are listed
+    del pulled[:]
+    res = count_morphisms(path_sym(9), complete_sym(6), enumerate_witnesses=True, limit=3)
+    assert (res.count, len(res.witnesses), res.truncated) == (6 * 5 ** 8, 3, True)
+    assert pulled == [4]
 
 
 def test_limit_must_be_positive(k3):
@@ -364,6 +404,12 @@ TABLE_CLASSES = ((CLS.HOM, SE_M), (CLS.MONO, SE_M), (CLS.SURJECTION, SE_M),
                  (CLS.QUOTIENT, E_SM), (CLS.STRONG_MONO, SE_M), (CLS.STRONG_MONO, E_SM))
 
 
+# The classes the frontier DP serves: plain homomorphisms, and the
+# surjective classes with no reflection check, by inclusion-exclusion.
+FRONTIER_CLASSES = ((CLS.HOM, SE_M), (CLS.SURJECTION, SE_M), (CLS.SURJECTION, E_SM),
+                    (CLS.QUOTIENT, E_SM))
+
+
 def random_structure(rng, signature, n, p):
     """Random tuples over n elements, each symbol with at least one tuple
     that repeats a variable when its arity and n allow it."""
@@ -492,8 +538,8 @@ def force_path(monkeypatch, name):
 
 def test_table_and_backtracking_paths_agree(monkeypatch):
     # The selection forced to each path in turn gives the counts the rule
-    # gives; the frontier DP serves plain homomorphisms only, so it is forced
-    # on the HOM counts.
+    # gives; the frontier DP serves plain homomorphisms and the surjective
+    # classes with no reflection check, so it is forced on those counts.
     cases = [(c, a, cls, system) for c, a in _table_pairs() for cls, system in TABLE_CLASSES]
     calls = spy_paths(monkeypatch)
     by_rule = [count_morphisms(*case).count for case in cases]
@@ -504,7 +550,7 @@ def test_table_and_backtracking_paths_agree(monkeypatch):
         force_path(monkeypatch, name)
         calls.update(dict.fromkeys(COUNTING_PATHS, 0))
         forced = [(case, n) for case, n in zip(cases, by_rule)
-                  if name != "_frontier_count" or case[2] is CLS.HOM]
+                  if name != "_frontier_count" or case[2:] in FRONTIER_CLASSES]
         assert [count_morphisms(*case).count for case, _ in forced] == [n for _, n in forced]
         assert calls == {path: len(forced) if path == name else 0 for path in COUNTING_PATHS}
     assert any(by_rule)
@@ -554,6 +600,61 @@ def test_frontier_counts_match_naive_oracle(monkeypatch):
     assert any(plan.walk[0] == 0 and len(plan.frontier) > 1 for plan in plans)
 
 
+def _with_isolated(s):
+    """s with one more element, in no tuple."""
+    return Structure.build(s.signature, s.size + 1,
+                           {name: rel for (name, _), rel in zip(s.signature.symbols,
+                                                                s.relations)})
+
+
+def _surjection_pairs():
+    """(pattern, target) pairs for surjective counts: `E/2` patterns of 1 to 6
+    elements without loops and `E/2,R/3` ones with repeated variables, each
+    also with loops added, into targets of 1 to 4 elements, with and without
+    loops, and with an isolated element added (at most 3^6 or 5^5 maps)."""
+    rng = random.Random("surjective frontier")
+    pairs = []
+    for signature, p, q in ((GRAPH_SIGNATURE, 0.35, 0.6), (BINARY_TERNARY, 0.04, 0.3)):
+        targets = [random_structure(rng, signature, m, q) for m in range(1, 5) for _ in range(2)]
+        targets += [_with_loops(rng, a) for a in targets[::2]]
+        targets += [_with_isolated(a) for a in targets[:6]]
+        for n in range(1, 7):
+            for _ in range(3):
+                if signature is GRAPH_SIGNATURE:
+                    c = digraph(n, {(x, y) for x in range(n) for y in range(n)
+                                    if x != y and rng.random() < p})
+                else:
+                    c = random_structure(rng, signature, n, p)
+                for pattern in (c, _with_loops(rng, c)):
+                    fits = [a for a in targets if a.size ** n <= 5 ** 5 or a.size <= 3]
+                    pairs += [(pattern, a) for a in rng.sample(fits, 5)]
+    return pairs
+
+
+def test_surjective_frontier_counts_match_naive_oracle(monkeypatch):
+    force_path(monkeypatch, "_frontier_count")
+    calls = spy_paths(monkeypatch)
+    pairs = _surjection_pairs()
+    nonzero = 0
+    for c, a in pairs:
+        for cls, system in FRONTIER_CLASSES:
+            got = count_morphisms(c, a, cls, system).count
+            assert got == naive_count(c, a, cls, system), (c, a, cls, system)
+            nonzero += cls is CLS.SURJECTION and got > 0
+    assert calls["_frontier_count"] == len(pairs) * len(FRONTIER_CLASSES)
+    assert nonzero > len(pairs) // 10
+    # targets larger than their pattern, one-element targets, targets with an
+    # element in no tuple, loops on both sides, and both signatures
+    assert any(a.size > c.size for c, a in pairs)
+    assert any(a.size == 1 for c, a in pairs)
+    assert any(not any(x in t for rel in a.relations for t in rel)
+               for c, a in pairs for x in range(a.size))
+    for side in (0, 1):
+        assert any(any(t.count(t[0]) == len(t) for rel in pair[side].relations for t in rel)
+                   for pair in pairs)
+    assert {c.signature for c, _ in pairs} == {GRAPH_SIGNATURE, BINARY_TERNARY}
+
+
 def test_frontier_walk_lists_the_frontier_before_each_step():
     # The frontier plan reads its frontiers from the walk, so they are
     # checked here against their definition, on patterns with isolated
@@ -580,32 +681,38 @@ def test_frontier_walk_lists_the_frontier_before_each_step():
                         assert keep(before) + ((v,) if stays else ()) == after
 
 
-def _adjacency_power_sums(a, k):
-    """(1^T A^k 1, trace A^k) by integer matrix powers of a's relation."""
+def _adjacency_power_sums(a, top):
+    """[(1^T A^k 1, trace A^k) for k = 0..top] by integer matrix powers of
+    a's relation."""
     n = a.size
     adj = [[int((x, y) in a.relations[0]) for y in range(n)] for x in range(n)]
-    power = adj
-    for _ in range(k - 1):
+    power = [[int(x == y) for y in range(n)] for x in range(n)]
+    sums = []
+    for _ in range(top + 1):
+        sums.append((sum(map(sum, power)), sum(power[x][x] for x in range(n))))
         power = [[sum(row[z] * adj[z][y] for z in range(n)) for y in range(n)]
                  for row in power]
-    return sum(map(sum, power)), sum(power[x][x] for x in range(n))
+    return sums
 
 
 def test_long_path_and_cycle_into_g40(monkeypatch):
     # Out of the search's reach: it did not finish P9 -> G(40, 0.3) in 300 s.
+    # P24, C23 and P40 are past the frontier DP's old 10-element size rule.
     rng = random.Random(40)
     edges = [e for e in itertools.combinations(range(40), 2) if rng.random() < 0.3]
     g40 = digraph(40, set(edges) | {(y, x) for x, y in edges})
-    walks, closed = _adjacency_power_sums(g40, 8)
+    sums = _adjacency_power_sums(g40, 39)
+    cases = [(path_sym(k + 1), sums[k][0]) for k in (8, 23, 39)]
+    cases += [(cycle_sym(k), sums[k][1]) for k in (8, 23)]
     calls = spy_paths(monkeypatch)
-    for pattern, expected in ((path_sym(9), walks), (cycle_sym(8), closed)):
+    for pattern, expected in cases:
         start = time.process_time()
         assert hom_count(pattern, g40) == expected
         assert time.process_time() - start < 1.0
-    assert calls["_frontier_count"] == 2
+    assert calls["_frontier_count"] == len(cases)
 
 
-def test_frontier_path_serves_plain_counts_only(monkeypatch):
+def test_frontier_path_serves_plain_and_surjective_counts_only(monkeypatch):
     calls = spy_paths(monkeypatch)
     rng = random.Random(6)
     target = random_digraph(rng, 6, 0.3)
@@ -613,26 +720,42 @@ def test_frontier_path_serves_plain_counts_only(monkeypatch):
     assert count_morphisms(c6, target).count == naive_count(c6, target)
     assert calls["_frontier_count"] == 1
     calls["_frontier_count"] = 0
-    for cls, system in ((CLS.MONO, SE_M), (CLS.SURJECTION, SE_M),
-                        (CLS.STRONG_MONO, SE_M), (CLS.QUOTIENT, SE_M),
-                        (CLS.QUOTIENT, E_SM)):
+    for cls, system in ((CLS.MONO, SE_M), (CLS.STRONG_MONO, SE_M),
+                        (CLS.STRONG_MONO, E_SM), (CLS.QUOTIENT, SE_M)):
         count_morphisms(c6, target, cls, system)
-    count_morphisms(c6, target, enumerate_witnesses=True, limit=3)
     count_morphisms(c6, target, enumerate_witnesses=True)
     assert calls["_frontier_count"] == 0
+    # a listing with a limit counts the total once it is truncated
+    assert count_morphisms(c6, target, enumerate_witnesses=True, limit=3).truncated
+    assert calls["_frontier_count"] == 1
     # with no witnesses to list, `limit` changes nothing: the plain count
     assert count_morphisms(c6, target, limit=3).count == naive_count(c6, target)
-    assert calls["_frontier_count"] == 1
+    assert calls["_frontier_count"] == 2
     calls["_frontier_count"] = 0
+    # surjective counts without a reflection check, into targets of at most
+    # _SURJECTIVE_TARGET elements: 3^8 maps, above the table path's
+    c8, k3 = cycle_sym(8), complete_sym(3)
+    for cls, system in ((CLS.SURJECTION, SE_M), (CLS.SURJECTION, E_SM), (CLS.QUOTIENT, E_SM)):
+        assert count_morphisms(c8, k3, cls, system).count == naive_count(c8, k3, cls, system)
+    assert calls["_frontier_count"] == 3
+    calls["_frontier_count"] = 0
+    count_morphisms(c8, cycle_sym(homsearch._SURJECTIVE_TARGET + 1), CLS.SURJECTION)
+    # group surjections: a group's multiplication graph has a wide frontier
+    assert has_surjection(cyclic_group(16), cyclic_group(2))
+    assert _search_plan(profinite._as_structure(cyclic_group(16))).walk[0] == 15
     # wide frontiers, 2w >= |c|: C4 keeps 2 of 4 values, K4 3
     assert [_search_plan(c).walk[0] for c in (path_sym(5), c6, cycle_sym(4))] == [1, 2, 2]
     g9 = random_digraph(rng, 9, 0.5)  # 9^4 maps, above the table path's
     for wide in (cycle_sym(4), complete_sym(4)):
         assert hom_count(wide, g9) == naive_count(wide, g9)
-    # above the size rule's 10 elements
-    assert count_morphisms(path_sym(11), target).count > 0
+    # above the size rule, and above the state bound: |a|^w for C6 (w = 2)
+    assert count_morphisms(path_sym(homsearch._FRONTIER_SIZE + 1), complete_sym(2)).count == 2
     assert hom_count(path_sym(2000), complete_sym(2)) == 2
+    m = math.isqrt(homsearch._FRONTIER_STATES)
+    assert hom_count(c6, cycle_sym(m + 1)) == 20 * (m + 1)
     assert calls["_frontier_count"] == 0
+    assert hom_count(c6, cycle_sym(m)) == 20 * m
+    assert calls["_frontier_count"] == 1
 
 
 def test_left_profile_builds_one_map_space_per_size_pair():
