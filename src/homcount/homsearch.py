@@ -101,7 +101,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import islice, permutations, product
 from operator import itemgetter
 
 from .quotposet import collapse_structure, set_partitions
@@ -143,7 +143,8 @@ class _Record:
     As a pattern: `order` lists the variables in search order (descending
     tuple-occurrence degree), and `steps[s]` the tuples that become fully
     assigned at step s, grouped as `_step_tuples` says, each other variable
-    by its index in the map being built.  `walk` is (w, order, fronts), the
+    by its index in the map being built.  `neighbours[x]` is the bitmask
+    of x's neighbours in the Gaifman graph.  `walk` is (w, order, fronts), the
     frontier DP's variable order and the frontier before each of its steps
     (`_frontier_walk`; a frontier is the variables assigned so far that
     share a tuple with an unassigned one); w, the largest frontier, is what
@@ -201,8 +202,19 @@ class _Record:
         return tuple((p, collapse_structure(c, p)[0]) for p in set_partitions(c.size))
 
     @cached_property
+    def neighbours(self):
+        pairs = set()  # (x, y) for x, y at two positions of one tuple
+        for rel in self.structure.relations:
+            for xs, ys in permutations(list(zip(*rel)), 2):
+                pairs.update(zip(xs, ys))
+        nbrs = [0] * self.structure.size
+        for x, y in pairs:
+            nbrs[x] |= 1 << y
+        return [near & ~(1 << x) for x, near in enumerate(nbrs)]
+
+    @cached_property
     def walk(self):
-        return _frontier_walk(self.structure)
+        return _frontier_walk(self.structure, self.neighbours)
 
     @cached_property
     def frontier(self):
@@ -301,21 +313,14 @@ def _tuple_mask(proj, rel, t: tuple) -> int:
     return mask
 
 
-def _frontier_walk(s: Structure):
+def _frontier_walk(s: Structure, nbrs):
     """The frontier DP's variable order, chosen greedily so that each step
     leaves the smallest frontier: (w, order, fronts), with fronts[s] the
     frontier before step s (the variables of order[:s] that share a tuple
     with one of order[s:], in the order they were assigned, which is how
-    the plan indexes them; fronts[n] is empty) and w the largest of them."""
+    the plan indexes them; fronts[n] is empty) and w the largest of them.
+    `nbrs` is s's `_Record.neighbours`."""
     n = s.size
-    nbrs = [0] * n
-    for rel in s.relations:
-        for t in rel:
-            bits = 0
-            for x in t:
-                bits |= 1 << x
-            for x in t:
-                nbrs[x] |= bits & ~(1 << x)
     degree = [near.bit_count() for near in nbrs]
     left = (1 << n) - 1
     frontier = []
@@ -573,13 +578,19 @@ def _counter(c: Structure, a: Structure, injective: bool, surjective: bool):
     reflection check on complete maps (module docstring): the table path,
     the frontier DP or the search, as the function to call with (c, a,
     injective, surjective, reflects).  The frontier walk is compiled only
-    when the cheaper tests leave the DP possible.  Needs c.size >= 1."""
+    when the cheaper tests leave the DP possible.  One is 2d >= |c| for d
+    the least Gaifman degree, since w >= d: before the first step that
+    leaves some x and its >= d neighbours all assigned, the >= d variables
+    assigned were all on the frontier.  Needs c.size >= 1."""
     n, m = c.size, a.size
     if m ** n <= _TABLE_MAPS:
         return _table_count
     if injective or n > _FRONTIER_SIZE or (surjective and m > _SURJECTIVE_TARGET):
         return _search_count
-    w = _search_plan(c).walk[0]
+    plan = _search_plan(c)
+    if 2 * min(map(int.bit_count, plan.neighbours)) >= n:
+        return _search_count
+    w = plan.walk[0]
     if 2 * w >= n or m ** w > _FRONTIER_STATES:
         return _search_count
     return _frontier_count

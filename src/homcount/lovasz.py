@@ -256,23 +256,28 @@ def _esm_classes(c: Structure, a: Structure):
 def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
     """Up-sets of the E_SM quotient classes keyed (kernel partition of
     0..n-1, relations): x <= y when y's partition refines x's and y's
-    relations, pushed along the merge of y's blocks into x's, lie in x's."""
+    relations, pushed along the merge of y's blocks into x's, lie in x's.
+    A partition with block labels f refines one with labels g exactly when
+    the distinct pairs of zip(f, g) are as many as its blocks; those pairs
+    are then the merge."""
     by_partition: dict[tuple, list[int]] = {}
     for i, (partition, _) in enumerate(keys):
         by_partition.setdefault(partition, []).append(i)
+    labels = {p: block_labels(p, n) for p in by_partition}
+    columns = [[list(zip(*rel)) for rel in rels] for _, rels in keys]
     up_sets: list[list[int]] = [[] for _ in keys]
     for coarse, lower in by_partition.items():
-        labels = block_labels(coarse, n)
         for fine, upper in by_partition.items():
             if len(fine) < len(coarse):
                 continue
-            merge = tuple(labels[block[0]] for block in fine)
-            if any(labels[x] != merge[bi] for bi, block in enumerate(fine) for x in block):
+            pairs = set(zip(labels[fine], labels[coarse]))
+            if len(pairs) != len(fine):
                 continue
+            merge = dict(pairs).__getitem__
             for j in upper:
-                images = [{tuple(merge[x] for x in t) for t in rel} for rel in keys[j][1]]
+                images = [set(zip(*[map(merge, col) for col in cols])) for cols in columns[j]]
                 for i in lower:
-                    if all(img <= rel for img, rel in zip(images, keys[i][1])):
+                    if all(map(set.__le__, images, keys[i][1])):
                         up_sets[i].append(j)
     return up_sets
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .errors import InvariantViolationError
 from .homsearch import _search_plan, hom_count, iter_hom_maps
-from .quotposet import Partition
+from .quotposet import Partition, _blocks
 from .sigstruct import (
     SE_M,
     E_SM,
@@ -153,31 +153,25 @@ def _realized_quotients(c: Structure, a: Structure):
     injection of the blocks onto im h; a class is realized iff it is
     (ker h, the relations of a pulled back along that injection) for some h.
     The pull-back depends only on the ordered image (the values of h in
-    order of first occurrence), so it is computed once per image and shared
-    by every map with that image.
+    order of first occurrence), so it is computed once per image, by C-level
+    iteration: the k^arity index tuples of the k blocks whose images lie in
+    a's relation.  A map's kernel is read as the indices of its values in
+    the image (a restricted growth string), made a partition once per class.
     """
-    rows = {}
+    keys = set()
     pulled = {}
     for h in iter_hom_maps(c, a):
-        blocks: dict[int, list[int]] = {}
-        for x, y in enumerate(h):
-            blocks.setdefault(y, []).append(x)
-        # blocks were opened in order of their least element
-        partition = tuple(tuple(block) for block in blocks.values())
-        image = tuple(blocks)
+        image = tuple(dict.fromkeys(h))
         rels = pulled.get(image)
         if rels is None:
-            index = {y: i for i, y in enumerate(image)}
-            rels = pulled[image] = tuple(
-                frozenset(tuple(index[y] for y in t) for t in rel
-                          if all(y in index for y in t))
-                for rel in a.relations
-            )
-        key = (partition, rels)
-        if key not in rows:
-            rows[key] = Structure(c.signature, len(partition), rels)
-    return dict(sorted(rows.items(), key=lambda kv: (
-        len(kv[0][0]), kv[0][0], tuple(tuple(sorted(r)) for r in kv[0][1]))))
+            rels = pulled[image] = tuple([
+                frozenset(compress(product(range(len(image)), repeat=arity),
+                                   map(rel.__contains__, product(image, repeat=arity))))
+                for (_, arity), rel in zip(c.signature.symbols, a.relations)])
+        keys.add((tuple(map(image.index, h)), rels))
+    rows = sorted(((_blocks(labels), rels) for labels, rels in keys), key=lambda row: (
+        len(row[0]), row[0], tuple(tuple(sorted(r)) for r in row[1])))
+    return {(p, rels): Structure(c.signature, len(p), rels) for p, rels in rows}
 
 
 def kernel_decomposition(c: Structure, a: Structure,

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from homcount.selftest import complete_sym, cycle_sym, no_relation
@@ -14,6 +16,16 @@ def path_sym(n):
 
 def digraph(n, arcs):
     return Structure.build(GRAPH_SIGNATURE, n, {"E": arcs})
+
+
+def random_looped(rng, signature, n, p):
+    """Random tuples over n >= 1 elements, and one tuple on one element per
+    symbol."""
+    rels = []
+    for _, arity in signature.symbols:
+        rel = {t for t in itertools.product(range(n), repeat=arity) if rng.random() < p}
+        rels.append(frozenset(rel | {(rng.randrange(n),) * arity}))
+    return Structure(signature, n, tuple(rels))
 
 
 @pytest.fixture(scope="session")

@@ -253,6 +253,62 @@ def test_kernel_output(files, capsys):
     assert out.strip().endswith("total\t\t8")
 
 
+LOOPED_C5_TEXT = """\
+signature E/2
+structure c5 size 5
+E: (0,0) (0,1) (1,2) (2,3) (3,1) (3,4)
+end
+"""
+
+LOOPED_A4_TEXT = """\
+signature E/2
+structure a4 size 4
+E: (0,0) (0,1) (1,0) (1,2) (2,0) (2,2) (3,3) (2,3)
+end
+"""
+
+# One row per realized E_SM class, in the order of block count, partition
+# and sorted relations: partitions repeat when their classes differ in the
+# pulled-back relations.
+KERNEL_E_SM_OUT = """\
+partition\tblocks\tgeneric
+0.1.2.3.4\t1\t3
+0|1.2.3.4\t2\t2
+0.1.2.3|4\t2\t1
+0.1.2.3|4\t2\t2
+0.1.2.4|3\t2\t1
+0.1.3|2.4\t2\t1
+0.1.3.4|2\t2\t1
+0.2.3|1.4\t2\t1
+0.2.3.4|1\t2\t1
+0|1.2.3|4\t3\t1
+0|1.2.4|3\t3\t1
+0|1.3|2.4\t3\t1
+0|1.3.4|2\t3\t1
+0.1|2|3.4\t3\t1
+0.1|2.4|3\t3\t1
+0.1.2|3|4\t3\t1
+0.1.4|2|3\t3\t1
+0.1.4|2|3\t3\t1
+0.3|1.4|2\t3\t1
+0.3|1.4|2\t3\t1
+0.3.4|1|2\t3\t1
+0.3.4|1|2\t3\t1
+0.4|1.2|3\t3\t1
+0.1|2|3|4\t4\t1
+0.3|1|2|4\t4\t1
+total\t\t29
+"""
+
+
+def test_kernel_e_sm_output_is_pinned(files, capsys):
+    c = files("c5.struct", LOOPED_C5_TEXT)
+    a = files("a4.struct", LOOPED_A4_TEXT)
+    code, out, _ = invoke(["kernel", "--system", "e-sm", c, a], capsys)
+    assert code == 0
+    assert out == KERNEL_E_SM_OUT
+
+
 def test_stirling(capsys):
     code, out, _ = invoke(["stirling", "4", "2"], capsys)
     assert code == 0

@@ -665,7 +665,7 @@ def test_frontier_walk_lists_the_frontier_before_each_step():
             for p in (0.0, 0.02, 0.08, 0.2):
                 c = random_structure(rng, signature, n, p)
                 for pattern in (c, _with_loops(rng, c)):
-                    w, order, fronts = homsearch._frontier_walk(pattern)
+                    w, order, fronts = _search_plan(pattern).walk
                     assert sorted(order) == list(range(n))
                     assert len(fronts) == n + 1 and fronts[0] == fronts[-1] == ()
                     assert w == max(map(len, fronts))
@@ -679,6 +679,68 @@ def test_frontier_walk_lists_the_frontier_before_each_step():
                     for v, before, after, (_, keep, stays) in zip(order, fronts,
                                                                    fronts[1:], plan):
                         assert keep(before) + ((v,) if stays else ()) == after
+
+
+def test_dense_patterns_compile_no_frontier_walk(monkeypatch):
+    # 2d >= |c|, d the least Gaifman degree, sends a count to the search
+    # before the walk is compiled: Z16's multiplication graph (d = 15) and
+    # K(4, 4, 4) (d = 8), which the search counts.  A cycle still walks.
+    walks = []
+    real = homsearch._frontier_walk
+    monkeypatch.setattr(homsearch, "_frontier_walk",
+                        lambda *args: walks.append(args[0].size) or real(*args))
+    calls = spy_paths(monkeypatch)
+    _search_plan.cache_clear()
+    assert count_group_homs(cyclic_group(16), cyclic_group(3)) == 1
+    k444 = digraph(12, {(x, y) for x in range(12) for y in range(12) if x % 3 != y % 3})
+    assert hom_count(k444, complete_sym(3)) == 6
+    assert walks == [] and calls["_search_count"] == 2
+    assert hom_count(cycle_sym(12), complete_sym(3)) == 2 ** 12 + 2
+    assert walks == [12] and calls["_frontier_count"] == 1
+
+
+def _parent_rule(c, a, injective, surjective):
+    """The path rule without the degree test: the walk's width decides."""
+    n, m = c.size, a.size
+    if m ** n <= homsearch._TABLE_MAPS:
+        return homsearch._table_count
+    if injective or n > homsearch._FRONTIER_SIZE or (
+            surjective and m > homsearch._SURJECTIVE_TARGET):
+        return homsearch._search_count
+    w = _search_plan(c).walk[0]
+    if 2 * w >= n or m ** w > homsearch._FRONTIER_STATES:
+        return homsearch._search_count
+    return homsearch._frontier_count
+
+
+def test_degree_test_keeps_every_path():
+    # The rule picks the path the width alone picks, on random patterns of
+    # 1 to 40 elements from sparse to dense, and on cycles and complete
+    # bipartite graphs K(k, k) and K(k, k + 1), where 2d is |c| or |c| - 1
+    # (the DP is taken for K(k, k + 1)); it compiles no walk for the
+    # patterns the degree test sends to the search.
+    rng = random.Random("degree")
+    patterns = [random_digraph(rng, n, min(1.0, p / n))
+                for n in range(1, 41) for p in (1, 3, n / 2, 0.9 * n)]
+    patterns += [random_structure(rng, BINARY_TERNARY, n, p)
+                 for n in range(1, 9) for p in (0.01, 0.1, 0.5)]
+    patterns += [cycle_sym(n) for n in range(3, 41)]
+    patterns += [digraph(n, {(x, y) for x in range(n) for y in range(n)
+                             if (x < n // 2) != (y < n // 2)}) for n in range(2, 16)]
+    skipped = walks_to_search = taken = 0
+    for c in patterns:
+        for m, injective, surjective in ((2, False, False), (3, False, True),
+                                         (7, False, False), (7, True, False)):
+            a = random_structure(rng, c.signature, m, 0.5)
+            _search_plan.cache_clear()
+            path = homsearch._counter(c, a, injective, surjective)
+            walked = "walk" in vars(_search_plan(c))
+            assert path is _parent_rule(c, a, injective, surjective), (c, m)
+            if not injective and path is homsearch._search_count:
+                skipped += not walked and m ** c.size > homsearch._TABLE_MAPS
+                walks_to_search += walked
+            taken += path is homsearch._frontier_count
+    assert skipped > 100 and walks_to_search > 20 and taken > 100
 
 
 def _adjacency_power_sums(a, top):

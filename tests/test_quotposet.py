@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digraph, no_relation
+from conftest import digraph, no_relation, random_looped
 from homcount import lovasz
 from homcount.errors import CapExceededError
 from homcount.homsearch import _search_plan
@@ -132,16 +132,25 @@ def test_quotient_poset_at_the_cap():
 
 def test_factorisation_up_sets_match_the_pairwise_order():
     # The E_SM classes that embeddings_via_mobius inverts over, ordered by
-    # grouped refinement tests, against the pairwise definition.
+    # grouped refinement tests, against the pairwise definition, on patterns
+    # of 1 to 6 elements (those of 5-6 with loops on both sides).
     rng = random.Random(23)
-    for signature, p_rel in ((Signature((("E", 2),)), 0.35),
-                             (Signature((("E", 2), ("R", 3))), 0.1)):
+    for signature, p_rel, p_big, q_big in ((Signature((("E", 2),)), 0.35, 0.09, 0.5),
+                                           (Signature((("E", 2), ("R", 3))), 0.1, 0.02, 0.6)):
+        pairs = []
         for _ in range(12):
             n, m = rng.randint(1, 4), rng.randint(1, 4)
-            c = random_structure(rng, signature, n, p_rel)
-            a = random_structure(rng, signature, m, 2 * p_rel)
+            pairs.append((random_structure(rng, signature, n, p_rel),
+                          random_structure(rng, signature, m, 2 * p_rel)))
+        pairs += [(random_looped(rng, signature, n, p_big),
+                   random_looped(rng, signature, m, q_big))
+                  for n, m in ((5, 4), (6, 3), (5, 5))]
+        for c, a in pairs:
+            n = c.size
             top = (tuple((x,) for x in range(n)), c.relations)
             keys = list({**_realized_quotients(c, a), top: c})
+            # in the order embeddings_via_mobius passes them, ascending lists
+            assert all(up == sorted(up) for up in _factorisation_up_sets(keys, n))
             rng.shuffle(keys)
             got = [sorted(up) for up in _factorisation_up_sets(keys, n)]
             assert got == [[j for j, y in enumerate(keys) if quotient_class_leq(x, y)]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import homcount.quotposet
-from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
+from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym, random_looped
 from homcount.homsearch import count_morphisms, hom_count
 from homcount.lovasz import _structures_of_size
 from homcount.selftest import full_acceptance
@@ -209,13 +209,27 @@ def test_kernel_decomposition_total_matches_homcount_both_systems():
 
 def test_realized_quotients_match_the_definition():
     # Classes read off hom(c, a) equal the partitions-times-injections
-    # definition, codomains included.
+    # definition, codomains included, in the order of block count,
+    # partition and sorted relations; small digraphs pairwise, and patterns
+    # of 5-6 elements with loops on both sides, on E/2 and on E/2,R/3.
     rng = random.Random(53)
     family = [random_digraph(rng, n, 0.4) for n in (0, 1, 2, 3, 4) for _ in range(4)]
     family += [no_relation(3), complete_sym(3), digraph(1, {(0, 0)})]
-    for c in family:
-        for a in family:
-            assert _realized_quotients(c, a) == naive_realized_quotients(c, a), (c, a)
+    pairs = [(c, a) for c in family for a in family]
+    mixed = Signature((("E", 2), ("R", 3)))
+    for signature, sizes, p, q in ((GRAPH_SIGNATURE, ((5, 4), (6, 4), (5, 5)), 0.15, 0.4),
+                                   (mixed, ((5, 3), (5, 4), (6, 3)), 0.02, 0.6)):
+        pairs += [(random_looped(rng, signature, n, p), random_looped(rng, signature, m, q))
+                  for n, m in sizes for _ in range(2)]
+    for c, a in pairs:
+        got = _realized_quotients(c, a)
+        want = naive_realized_quotients(c, a)
+        assert got == want, (c, a)
+        assert list(got) == sorted(want, key=lambda key: (
+            len(key[0]), key[0], tuple(tuple(sorted(r)) for r in key[1]))), (c, a)
+    # the larger pairs realize classes that share a partition
+    assert any(len(got) > len({p for p, _ in got}) for got in
+               (_realized_quotients(c, a) for c, a in pairs[-12:]))
 
 
 def test_kernel_decomposition_esm_rows_expand_codomains(point, loop_point):
