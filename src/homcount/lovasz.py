@@ -24,8 +24,7 @@ from functools import lru_cache
 from .errors import cap_exceeded
 from .homsearch import _count, _search_plan, hom_count
 from .quotposet import (
-    _top_column,
-    block_labels,
+    _esm_mobius,
     collapse_structure,
     partition_mobius,
     set_partitions,
@@ -53,14 +52,18 @@ PROFILES_EQUAL = "profiles-equal-within-budget"
 
 
 def structure_cap() -> int:
-    """Global cap on enumerated candidate structures; HOMCOUNT_CAP overrides."""
+    """Global cap on enumerated candidate structures; HOMCOUNT_CAP overrides,
+    and a setting that is not a non-negative integer is refused."""
     raw = os.environ.get("HOMCOUNT_CAP")
     if not raw:
         return DEFAULT_STRUCTURE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"HOMCOUNT_CAP must be an integer, got {raw!r}") from None
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"HOMCOUNT_CAP must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -232,54 +235,17 @@ def embeddings_via_mobius(c: Structure, a: Structure,
     on c's record, with mu(x, top) in closed form (`partition_mobius`).
     Under E_SM they are the classes realized by maps into a, plus the top:
     every class with a generic map into a is among them, so the sum is
-    exact, and `quotposet._top_column` gives their mu.  No class with mu 0
+    exact, and `quotposet._esm_mobius` gives their mu.  No class with mu 0
     is counted.
     """
     _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
     if system is SE_M:
         terms = [(partition_mobius(p), q) for p, q in _search_plan(c).quotients]
     else:
-        realized, up_sets, top = _esm_classes(c, a)
-        terms = zip(_top_column(up_sets, top), realized.values())
+        top = (tuple((x,) for x in range(c.size)), c.relations)
+        realized = {**_realized_quotients(c, a), top: c}
+        terms = zip(_esm_mobius(list(realized), top), realized.values())
     return sum(m * hom_count(q, a) for m, q in terms if m)
-
-
-def _esm_classes(c: Structure, a: Structure):
-    """The E_SM classes of the Moebius sum, {key: codomain} for those realized
-    by maps c -> a and the top; their up-sets in that order; the top's index."""
-    top = (tuple((x,) for x in range(c.size)), c.relations)
-    realized = {**_realized_quotients(c, a), top: c}
-    keys = list(realized)
-    return realized, _factorisation_up_sets(keys, c.size), keys.index(top)
-
-
-def _factorisation_up_sets(keys, n: int) -> list[list[int]]:
-    """Up-sets of the E_SM quotient classes keyed (kernel partition of
-    0..n-1, relations): x <= y when y's partition refines x's and y's
-    relations, pushed along the merge of y's blocks into x's, lie in x's.
-    A partition with block labels f refines one with labels g exactly when
-    the distinct pairs of zip(f, g) are as many as its blocks; those pairs
-    are then the merge."""
-    by_partition: dict[tuple, list[int]] = {}
-    for i, (partition, _) in enumerate(keys):
-        by_partition.setdefault(partition, []).append(i)
-    labels = {p: block_labels(p, n) for p in by_partition}
-    columns = [[list(zip(*rel)) for rel in rels] for _, rels in keys]
-    up_sets: list[list[int]] = [[] for _ in keys]
-    for coarse, lower in by_partition.items():
-        for fine, upper in by_partition.items():
-            if len(fine) < len(coarse):
-                continue
-            pairs = set(zip(labels[fine], labels[coarse]))
-            if len(pairs) != len(fine):
-                continue
-            merge = dict(pairs).__getitem__
-            for j in upper:
-                images = [set(zip(*[map(merge, col) for col in cols])) for cols in columns[j]]
-                for i in lower:
-                    if all(map(set.__le__, images, keys[i][1])):
-                        up_sets[i].append(j)
-    return up_sets
 
 
 def mobius_invert_ints(poset, f1) -> list[int]:

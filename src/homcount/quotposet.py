@@ -6,7 +6,10 @@ c's tuples).  The order is "x <= y iff x factors through y", i.e. the kernel
 of y refines the kernel of x; the identity class is the unique top element.
 The interval from a class up to the top is a product of partition lattices,
 one per kernel block, so mu(class, top) has a closed form
-(`partition_mobius`).  Exact integer arithmetic throughout.
+(`partition_mobius`).  Under E_SM a codomain may carry tuples beyond the
+image, the classes are those realized by maps into a target, and
+`_esm_mobius` computes their column mu(-, top) in one pass, pushing mu down
+from the classes where it is not 0.  Exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -136,18 +139,48 @@ class FinitePoset:
                 self._mobius[key] = -total
         return self._mobius[key]
 
-    def top(self) -> int | None:
-        tops = [y for y in range(self.size) if len(self._down[y]) == self.size]
-        return tops[0] if len(tops) == 1 else None
 
+def _esm_mobius(keys, top) -> list[int]:
+    """mu(x, top) for each E_SM quotient class x of `keys`, in their order;
+    a class is keyed (kernel partition of 0..n-1, relations) and `top` is the
+    identity class.  x <= y when y's partition refines x's and y's relations,
+    pushed along the merge of y's blocks into x's, lie in x's.
 
-def _top_column(up_sets, top: int) -> list[int]:
-    """mu(x, top) for each x of the poset with these up-sets and greatest
-    element `top`, with no FinitePoset built: 1 at the top, else minus the
-    sum over the z > x, each visited first since its up-set is smaller."""
-    mu = [0] * len(up_sets)
-    for x in sorted(range(len(up_sets)), key=lambda i: len(up_sets[i])):
-        mu[x] = 1 if x == top else -sum(mu[z] for z in up_sets[x] if z != x)
+    The classes are visited finest first, more blocks then fewer tuples, so
+    every y above x is finished before x: mu(top) = 1, every other mu(x) is
+    minus the sum pushed onto x, and each y with mu(y) != 0 pushes mu(y) onto
+    every class below it; a class with mu 0 pushes nothing.  A partition
+    with block labels f refines one with labels g exactly when the distinct
+    pairs of zip(f, g) are as many as its blocks; those pairs are then the
+    merge.  That test runs once per partition that pushes, against each
+    partition with no more blocks, and the relations are pushed column by
+    column."""
+    n = len(top[0])
+    by_partition: dict[Partition, list[int]] = {}
+    for i, (partition, _) in enumerate(keys):
+        by_partition.setdefault(partition, []).append(i)
+    labels = {p: block_labels(p, n) for p in by_partition}
+    coarser: dict[Partition, list] = {}
+    pushed = [0] * len(keys)
+    pushed[keys.index(top)] = -1
+    mu = [0] * len(keys)
+    for y in sorted(range(len(keys)),
+                    key=lambda i: (-len(keys[i][0]), sum(map(len, keys[i][1])))):
+        mu[y] = m = -pushed[y]
+        if not m:
+            continue
+        fine, rels = keys[y]
+        if fine not in coarser:
+            coarser[fine] = [
+                (dict(pairs).__getitem__, lower)
+                for coarse, lower in by_partition.items() if len(coarse) <= len(fine)
+                and len(pairs := set(zip(labels[fine], labels[coarse]))) == len(fine)]
+        columns = [list(zip(*rel)) for rel in rels]
+        for merge, lower in coarser[fine]:
+            images = [set(zip(*[map(merge, col) for col in cols])) for cols in columns]
+            for x in lower:  # y itself is among them, and done
+                if all(map(set.__le__, images, keys[x][1])):
+                    pushed[x] += m
     return mu
 
 
@@ -194,7 +227,5 @@ def quotient_poset(c: Structure) -> QuotientPoset:
             up_sets[index[tuple([m[b] for b in s])]].append(j)
     classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
                     for partition in partitions)
-    poset = FinitePoset(len(classes), up_sets)
-    top = poset.top()
-    assert top is not None and len(classes[top].partition) == c.size
-    return QuotientPoset(c, classes, poset, top)
+    # the identity class is the last growth string, 0, 1, ..., n - 1
+    return QuotientPoset(c, classes, FinitePoset(len(classes), up_sets), len(classes) - 1)

@@ -167,13 +167,18 @@ def test_distinguish_cap_exit_3(files, capsys, monkeypatch):
 
 
 def test_distinguish_bad_cap_names_the_variable_exit_2(files, capsys, monkeypatch):
-    monkeypatch.setenv("HOMCOUNT_CAP", "ten")
     a = files("c6.struct", C6_TEXT)
     b = files("2c3.struct", TWO_C3_TEXT)
+    for setting in ("ten", "-5"):
+        monkeypatch.setenv("HOMCOUNT_CAP", setting)
+        code, out, err = invoke(["distinguish", "--budget", "4", a, b], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"HOMCOUNT_CAP must be a non-negative integer, got '{setting}'" in err
+    # 0 is a cap like any other: the first catalogue level exceeds it
+    monkeypatch.setenv("HOMCOUNT_CAP", "0")
     code, out, err = invoke(["distinguish", "--budget", "4", a, b], capsys)
-    assert code == 2
-    assert out == ""
-    assert "HOMCOUNT_CAP" in err and "'ten'" in err
+    assert (code, out) == (3, "") and "exceeding cap 0" in err
 
 
 NINE_TEXT = "signature E/2\nstructure n9 size 9\nend\n"

@@ -11,8 +11,6 @@ from homcount import lovasz
 from homcount.errors import CapExceededError
 from homcount.homsearch import _search_plan
 from homcount.lovasz import (
-    _esm_classes,
-    _factorisation_up_sets,
     decide_isomorphic_by_counting,
     embeddings_via_mobius,
     mobius_invert_ints,
@@ -20,7 +18,7 @@ from homcount.lovasz import (
 from homcount.quotposet import (
     PARTITION_SIZE_CAP,
     FinitePoset,
-    _top_column,
+    _esm_mobius,
     collapse_structure,
     partition_mobius,
     quotient_poset,
@@ -130,33 +128,6 @@ def test_quotient_poset_at_the_cap():
         assert partition_mobius(q.elements[i].partition) == q.poset.mobius(i, q.top)
 
 
-def test_factorisation_up_sets_match_the_pairwise_order():
-    # The E_SM classes that embeddings_via_mobius inverts over, ordered by
-    # grouped refinement tests, against the pairwise definition, on patterns
-    # of 1 to 6 elements (those of 5-6 with loops on both sides).
-    rng = random.Random(23)
-    for signature, p_rel, p_big, q_big in ((Signature((("E", 2),)), 0.35, 0.09, 0.5),
-                                           (Signature((("E", 2), ("R", 3))), 0.1, 0.02, 0.6)):
-        pairs = []
-        for _ in range(12):
-            n, m = rng.randint(1, 4), rng.randint(1, 4)
-            pairs.append((random_structure(rng, signature, n, p_rel),
-                          random_structure(rng, signature, m, 2 * p_rel)))
-        pairs += [(random_looped(rng, signature, n, p_big),
-                   random_looped(rng, signature, m, q_big))
-                  for n, m in ((5, 4), (6, 3), (5, 5))]
-        for c, a in pairs:
-            n = c.size
-            top = (tuple((x,) for x in range(n)), c.relations)
-            keys = list({**_realized_quotients(c, a), top: c})
-            # in the order embeddings_via_mobius passes them, ascending lists
-            assert all(up == sorted(up) for up in _factorisation_up_sets(keys, n))
-            rng.shuffle(keys)
-            got = [sorted(up) for up in _factorisation_up_sets(keys, n)]
-            assert got == [[j for j, y in enumerate(keys) if quotient_class_leq(x, y)]
-                           for x in keys], (c, a)
-
-
 def test_quotient_poset_cap():
     # Every SE_M path that enumerates partitions refuses the same sizes.
     c = no_relation(9)
@@ -172,33 +143,68 @@ def test_quotient_poset_cap():
         set_partitions(9)
 
 
-def test_top_column_matches_the_full_inversion():
-    # mu(-, top) by the column recursion against FinitePoset.mobius, read
-    # through mobius_invert_ints over a poset of the same up-sets, and the
-    # embedding count against the naive strong-mono count.
-    rng = random.Random(41)
+def esm_pairs():
+    """(c, a) pairs for the E_SM Moebius sum, under E/2 and under the mixed
+    arity E/2,R/3: 1-4 elements, size 0 on either side, and 5-6-element
+    patterns with loops on both sides."""
+    rng, big = random.Random(41), random.Random(23)
     loops = digraph(3, {(0, 0), (0, 1), (1, 2)})
     pairs = [(loops, digraph(4, {(0, 0), (1, 1), (0, 1), (1, 2), (2, 0), (3, 3)})),
              (loops, no_relation(0))]
-    for signature, p_rel in ((Signature((("E", 2),)), 0.35),
-                             (Signature((("E", 2), ("R", 3))), 0.1)):
+    for signature, p_rel, p_big, q_big in ((Signature((("E", 2),)), 0.35, 0.09, 0.5),
+                                           (Signature((("E", 2), ("R", 3))), 0.1, 0.02, 0.6)):
         pairs.append((random_structure(rng, signature, 0, p_rel),
-                       random_structure(rng, signature, 3, 2 * p_rel)))
+                      random_structure(rng, signature, 3, 2 * p_rel)))
         pairs.append((random_structure(rng, signature, 3, p_rel),
-                       random_structure(rng, signature, 0, p_rel)))
-        for _ in range(12):
-            n, m = rng.randint(1, 4), rng.randint(1, 4)
-            pairs.append((random_structure(rng, signature, n, p_rel),
-                          random_structure(rng, signature, m, 2 * p_rel)))
-    for c, a in pairs:
-        realized, up_sets, top = _esm_classes(c, a)
-        mu = _top_column(up_sets, top)
-        poset = FinitePoset(len(up_sets), up_sets)
-        assert mu == [mobius_invert_ints(poset, [int(y == x) for y in range(poset.size)])[top]
-                      for x in range(poset.size)], (c, a)
+                      random_structure(rng, signature, 0, p_rel)))
+        for r in (rng, big):
+            for _ in range(12):
+                n, m = r.randint(1, 4), r.randint(1, 4)
+                pairs.append((random_structure(r, signature, n, p_rel),
+                              random_structure(r, signature, m, 2 * p_rel)))
+        pairs += [(random_looped(big, signature, n, p_big),
+                   random_looped(big, signature, m, q_big))
+                  for n, m in ((5, 4), (6, 3), (5, 5))]
+    return pairs
+
+
+def esm_classes(c, a):
+    """The classes embeddings_via_mobius sums over, in its order, and the top."""
+    top = (tuple((x,) for x in range(c.size)), c.relations)
+    return {**_realized_quotients(c, a), top: c}, top
+
+
+def pairwise_poset(keys):
+    """The E_SM classes ordered pair by pair by oracles.quotient_class_leq."""
+    return FinitePoset(len(keys), [[j for j, y in enumerate(keys) if quotient_class_leq(x, y)]
+                                   for x in keys])
+
+
+def test_esm_mobius_matches_the_full_inversion():
+    # mu(-, top) by the push-down against FinitePoset.mobius, read through
+    # mobius_invert_ints over the pairwise order of oracles.quotient_class_leq,
+    # with the classes in the caller's order and shuffled.
+    rng = random.Random(23)
+    for c, a in esm_pairs():
+        realized, top = esm_classes(c, a)
+        keys = list(realized)
+        poset, t = pairwise_poset(keys), keys.index(top)
+        want = [mobius_invert_ints(poset, [int(y == x) for y in range(poset.size)])[t]
+                for x in range(poset.size)]
+        assert _esm_mobius(keys, top) == want, (c, a)
+        shuffled = rng.sample(range(len(keys)), len(keys))
+        assert _esm_mobius([keys[i] for i in shuffled], top) == [want[i] for i in shuffled]
+
+
+def test_esm_embedding_count_matches_the_naive_count():
+    # The embedding count against the naive strong-mono count, and against
+    # the full inversion of the hom counts over the pairwise order.
+    for c, a in esm_pairs():
+        realized, top = esm_classes(c, a)
+        keys = list(realized)
         want = naive_count(c, a, MorphismClass.STRONG_MONO, E_SM)
-        assert mobius_invert_ints(poset, [naive_count(q, a) for q in realized.values()])[top] \
-            == want
+        counts = [naive_count(q, a) for q in realized.values()]
+        assert mobius_invert_ints(pairwise_poset(keys), counts)[keys.index(top)] == want
         assert embeddings_via_mobius(c, a, E_SM) == want, (c, a)
 
 
@@ -208,8 +214,8 @@ def test_mobius_sum_builds_no_poset(monkeypatch):
     c = digraph(4, {(0, 1), (0, 3), (1, 1), (1, 3), (2, 2), (3, 0)})
     a = digraph(6, set(c.relation("E")) | {(0, 4), (1, 4), (3, 5), (4, 3), (4, 4),
                                              (4, 5), (5, 0), (5, 1), (5, 2)})
-    realized, up_sets, top = _esm_classes(c, a)
-    nonzero = [q for m, q in zip(_top_column(up_sets, top), realized.values()) if m]
+    realized, top = esm_classes(c, a)
+    nonzero = [q for m, q in zip(_esm_mobius(list(realized), top), realized.values()) if m]
     assert 0 < len(nonzero) < len(realized)
     want = {E_SM: naive_count(c, a, MorphismClass.STRONG_MONO, E_SM),
             SE_M: naive_count(c, a, MorphismClass.MONO, SE_M)}

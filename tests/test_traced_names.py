@@ -4,6 +4,7 @@ attributes.  A deleted or renamed name would fail every benchmark run."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -121,3 +122,51 @@ def test_every_cache_is_emptied_or_kept_for_a_reason():
     # join the caches the workloads empty, or be kept here with a reason.
     assert all(KEPT.values())
     assert _lru_caches() == set(CLEARED) | set(KEPT)
+
+
+# Library names that nothing else in src/homcount reads, each with the
+# reason it stays.
+UNREFERENCED = {
+    ("homcount.lovasz", "mobius_invert_ints"):
+        "the perfbench tracer patches it, and tests use it as the reference inversion",
+    ("homcount.profinite", "enumerate_group_homs"):
+        "the perfbench tracer patches it, and tests use it as the reference listing",
+    ("homcount.stirling", "is_generic"):
+        "the per-map genericity predicate that two paper-property tests call",
+}
+
+
+def _names_read(node):
+    """How often each name is read under node: bare names, attributes, and
+    the names an import binds."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rsplit(".", 1)[-1]] += 1
+    return names
+
+
+def test_every_library_name_is_read_or_kept_for_a_reason():
+    # A top-level function, class or method of src/homcount that no other
+    # code of the package reads is dead, or is kept here with a reason.
+    # Names are matched by spelling alone; dunder methods are exempt.
+    read, defined = Counter(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read += _names_read(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"homcount.{path.stem}", node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defined += [(f"homcount.{path.stem}", f"{node.name}.{sub.name}", sub)
+                                for sub in node.body
+                                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    unread = {(module, qualname) for module, qualname, node in defined
+              if read[node.name] == _names_read(node)[node.name]}
+    assert all(UNREFERENCED.values())
+    assert unread == set(UNREFERENCED)
