@@ -141,10 +141,11 @@ class FinitePoset:
 
 
 def _esm_mobius(keys, top) -> list[int]:
-    """mu(x, top) for each E_SM quotient class x of `keys`, in their order;
-    a class is keyed (kernel partition of 0..n-1, relations) and `top` is the
-    identity class.  x <= y when y's partition refines x's and y's relations,
-    pushed along the merge of y's blocks into x's, lie in x's.
+    """mu(x, top) for each E_SM quotient class x of `keys`, in their order,
+    0 where x is not below `top`; a class is keyed (kernel partition of
+    0..n-1, relations) and `top` is one of them, the identity class for
+    `embeddings_via_mobius`.  x <= y when y's partition refines x's and y's
+    relations, pushed along the merge of y's blocks into x's, lie in x's.
 
     The classes are visited finest first, more blocks then fewer tuples, so
     every y above x is finished before x: mu(top) = 1, every other mu(x) is
@@ -155,7 +156,7 @@ def _esm_mobius(keys, top) -> list[int]:
     merge.  That test runs once per partition that pushes, against each
     partition with no more blocks, and the relations are pushed column by
     column."""
-    n = len(top[0])
+    n = sum(map(len, top[0]))
     by_partition: dict[Partition, list[int]] = {}
     for i, (partition, _) in enumerate(keys):
         by_partition.setdefault(partition, []).append(i)

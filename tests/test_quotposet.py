@@ -180,7 +180,24 @@ def pairwise_poset(keys):
                                    for x in keys])
 
 
-def test_esm_mobius_matches_the_full_inversion():
+def test_factorisation_up_sets_match_the_pairwise_order():
+    # The order _esm_mobius pushes along is the pairwise order of
+    # oracles.quotient_class_leq: with each class y as the top, in the
+    # caller's class order and shuffled, the column is FinitePoset.mobius(x, y)
+    # on the down-set of y and 0 off it.  The whole mu matrix fixes the order
+    # (zeta is its inverse), so a pair ordered wrongly shows in some column.
+    rng = random.Random(29)
+    for c, a in esm_pairs():
+        keys = list(esm_classes(c, a)[0])
+        for order in (keys, rng.sample(keys, len(keys))):
+            poset = pairwise_poset(order)
+            for y, top in enumerate(order):
+                down = set(poset.down_set(y))
+                assert _esm_mobius(order, top) == [poset.mobius(x, y) if x in down else 0
+                                                   for x in range(poset.size)], (c, a, top)
+
+
+def test_top_column_matches_the_full_inversion():
     # mu(-, top) by the push-down against FinitePoset.mobius, read through
     # mobius_invert_ints over the pairwise order of oracles.quotient_class_leq,
     # with the classes in the caller's order and shuffled.
