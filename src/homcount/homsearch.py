@@ -29,13 +29,16 @@ chooses the path, from the sizes and the pattern's frontier width:
 
 * The table path, when the count ranges over few maps: |a|^|c| <=
   `_TABLE_MAPS`.  Every map c -> a is one bit of an int.  The bitsets that
-  depend on the sizes only (all maps, the maps with g(x) = u, the injective
-  and the surjective maps) are built once per size pair (`_map_space`); the
-  target's record keeps, per pattern size, the set of maps that send each
-  tuple of pattern variables into a's relation.  The count is the popcount
-  of the AND of c's tuple sets and the class's injective or surjective set.
-  A strong-mono count also ANDs the complements of the sets of c's
-  non-tuples.  The pattern needs no record at all.  The constant is the
+  depend on the sizes only (all maps, the maps with g(x) = u, the maps with
+  g(x) = g(y), the injective and the surjective maps) are built once per
+  size pair (`_map_space`); the target's record keeps, per pattern size,
+  the set of maps that send each tuple of pattern variables into a's
+  relation (`_map_table`).  The count is the popcount of the AND of c's
+  tuple sets and the class's injective or surjective set.  A strong-mono
+  count also ANDs the complements of the sets of c's non-tuples.  The
+  pattern needs no record at all.  The same tuple sets serve `stirling`'s
+  generic counts over as many maps, which OR the maps that factor through
+  each coatom of c's quotients.  The constant is the
   measured crossover of one count into a fresh target (random `E/2` and
   `E/2,R/3` structures, 2 cores, Python 3.11): the table path was ahead at
   every measured size up to 4,096 maps, even or mixed from 6,561 to 7,776
@@ -166,8 +169,9 @@ class _Record:
     As a target: `table(key)`, built the first time a search or the frontier
     DP asks for it, and `tuple_masks[n]`, for patterns of size n, the pair
     of `_map_space(n, |a|)` and, per symbol, the dict from a tuple of
-    pattern variables to the maps that send it into the relation, filled by
-    the table path.
+    pattern variables to the maps that send it into the relation, read
+    through `_map_table` and filled by the table path and by `stirling`'s
+    generic counts.
     """
 
     def __init__(self, s: Structure):
@@ -268,27 +272,35 @@ class _Record:
 @lru_cache(maxsize=256)
 def _map_space(n: int, m: int):
     """The maps g: [n] -> [m], m >= 1, as ints of m^n bits, bit sum_x g(x) m^x
-    standing for g: (full, proj, injective, surjective).
+    standing for g: (full, proj, injective, surjective, same).
 
     `proj[x][u]` holds the maps with g(x) = u: within every block of m^(x+1)
     bits, the run of m^x bits at offset u m^x, repeated by multiplying with
-    a repunit.  The injective mask is built only when n <= m, and the
-    surjective mask only when m <= n; otherwise no map is one, and the mask
-    is 0."""
+    a repunit.  `same[y][x]`, for x < y, holds the maps with g(x) = g(y);
+    the injective maps are the rest, so that mask is the complement of their
+    OR when n <= m, and 0 otherwise.  With m = 1 `same` is empty: there is
+    one map, and n is unbounded on the table path, so n(n - 1)/2 pair masks
+    would make a count quadratic.  The surjective mask is built only when
+    m <= n; otherwise no map is one, and the mask is 0."""
     full = (1 << m ** n) - 1
     proj = []
     for x in range(n):
         run = m ** x
         base = ((1 << run) - 1) * (full // ((1 << run * m) - 1))
         proj.append(tuple(base << u * run for u in range(m)))
-    injective = surjective = 0
-    if n <= m:
-        clash = 0
-        for x, px in enumerate(proj):
-            for py in proj[x + 1:]:
-                for bx, by in zip(px, py):
-                    clash |= bx & by
-        injective = full & ~clash
+    same = []
+    clash = 0
+    for y, py in enumerate(proj if m > 1 else ()):
+        row = []
+        for px in proj[:y]:
+            bits = 0
+            for bx, by in zip(px, py):
+                bits |= bx & by
+            row.append(bits)
+            clash |= bits
+        same.append(tuple(row))
+    injective = full & ~clash if n <= m else 0
+    surjective = 0
     if m <= n:
         surjective = full
         for column in zip(*proj):  # the maps that hit u, per u
@@ -296,7 +308,7 @@ def _map_space(n: int, m: int):
             for bits in column:
                 hit |= bits
             surjective &= hit
-    return full, tuple(proj), injective, surjective
+    return full, tuple(proj), injective, surjective, tuple(same)
 
 
 def _tuple_mask(proj, rel, t: tuple) -> int:
@@ -311,6 +323,19 @@ def _tuple_mask(proj, rel, t: tuple) -> int:
             g &= proj[x][u[i]]
         mask |= g
     return mask
+
+
+def _map_table(a: Structure, n: int):
+    """The table path's view of the target a for patterns of size n, kept on
+    a's record: the pair of `_map_space(n, |a|)` and, per symbol, the dict
+    from a tuple of pattern variables to the maps that send it into that
+    relation of a (`_tuple_mask`), filled as its readers first need each
+    tuple.  Needs |a| >= 1."""
+    tables = _search_plan(a).tuple_masks
+    entry = tables.get(n)
+    if entry is None:
+        entry = tables[n] = (_map_space(n, a.size), [{} for _ in a.relations])
+    return entry
 
 
 def _frontier_walk(s: Structure, nbrs):
@@ -409,11 +434,7 @@ def _table_count(c: Structure, a: Structure, injective: bool,
     n, m = c.size, a.size
     if m == 0 or (injective and n > m) or (surjective and m > n):
         return 0
-    tuple_masks = _search_plan(a).tuple_masks
-    entry = tuple_masks.get(n)
-    if entry is None:
-        entry = tuple_masks[n] = (_map_space(n, m), [{} for _ in a.relations])
-    (full, proj, inj, surj), known = entry
+    (full, proj, inj, surj, _), known = _map_table(a, n)
     mask = inj if injective else surj if surjective else full
     for sym, rel in enumerate(c.relations):
         seen = known[sym]

@@ -19,6 +19,15 @@ together with a codomain that may carry extra tuples beyond the image; a
 proper quotient of that kind lies below a merge or below an identity-kernel
 quotient that adds a single tuple, so the merges and the single-tuple
 expansions are the whole test family.
+
+The same test runs on one of two sides.  Over at most
+`homsearch._TABLE_MAPS` maps c -> a, into a target of two or more elements,
+it runs on the table path's whole-map bitsets, one bit per map: the homomorphisms are the AND of c's tuple masks
+in a's record, a merge of x and y contributes the maps with g(x) = g(y)
+that send its merged tuples into a, a single-tuple expansion contributes
+the maps that send its added tuple into a, and the generic elements are the
+homomorphisms outside the OR of those sets.  Larger hom-sets are listed,
+and each map is tested on its own (`is_generic`'s test).
 """
 
 from __future__ import annotations
@@ -27,8 +36,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product
 
+from . import homsearch
 from .errors import InvariantViolationError
-from .homsearch import _search_plan, hom_count, iter_hom_maps
+from .homsearch import (
+    _map_table,
+    _search_plan,
+    _tuple_mask,
+    hom_count,
+    iter_hom_maps,
+)
 from .quotposet import Partition, _blocks
 from .sigstruct import (
     SE_M,
@@ -36,6 +52,7 @@ from .sigstruct import (
     FactorisationSystem,
     MorphismClass,
     Structure,
+    _check_same_signature,
     _class_rules,
 )
 
@@ -110,11 +127,47 @@ def is_generic(h, c: Structure, a: Structure,
     return not _factors_through(h, a, *_factorization_candidates(c, system))
 
 
+def _generic_maps(c: Structure, a: Structure, merges, expansions) -> int:
+    """The generic elements of hom(c, a) as a bitset over the maps c -> a
+    (`homsearch._map_space`): the homomorphisms that factor through none of
+    the compiled coatoms.  Needs |c| >= 1 and |a| >= 2."""
+    (homs, proj, _, _, same), known = _map_table(a, c.size)
+
+    def mask(sym, t):  # the maps that send t into a's relation sym
+        seen = known[sym]
+        bits = seen.get(t)
+        if bits is None:
+            bits = seen[t] = _tuple_mask(proj, a.relations[sym], t)
+        return bits
+
+    for sym, rel in enumerate(c.relations):
+        for t in rel:
+            homs &= mask(sym, t)
+    if not homs:
+        return 0
+    through = 0
+    for x, y, rels in merges:
+        bits = homs & same[y][x]
+        for sym, ts in enumerate(rels):
+            for t in ts:
+                bits &= mask(sym, t)
+        through |= bits
+    for sym, t in expansions:
+        through |= mask(sym, t)
+    return homs & ~through
+
+
 def generic_count(c: Structure, a: Structure,
                   system: FactorisationSystem = SE_M) -> int:
-    """Number of generic elements of hom(c, a), computed by definition."""
+    """Number of generic elements of hom(c, a), computed by definition: the
+    homomorphisms that factor through no coatom of c's quotient poset, as
+    bitsets of maps over at most `_TABLE_MAPS` maps, else map by map.  A
+    target of at most one element admits at most one map, which is listed."""
     _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system
+    _check_same_signature(c, a)
     merges, expansions = _factorization_candidates(c, system)
+    if c.size and a.size > 1 and a.size ** c.size <= homsearch._TABLE_MAPS:
+        return _generic_maps(c, a, merges, expansions).bit_count()
     return sum(1 for h in iter_hom_maps(c, a)
                if not _factors_through(h, a, merges, expansions))
 

@@ -314,6 +314,73 @@ def test_kernel_e_sm_output_is_pinned(files, capsys):
     assert out == KERNEL_E_SM_OUT
 
 
+# One row per kernel partition, zero rows included, in `set_partitions` order.
+KERNEL_SE_M_OUT = """\
+partition\tblocks\tgeneric
+0.1.2.3.4\t1\t3
+0.1.2.3|4\t2\t3
+0.1.2.4|3\t2\t1
+0.1.2|3.4\t2\t0
+0.1.2|3|4\t3\t1
+0.1.3.4|2\t2\t1
+0.1.3|2.4\t2\t1
+0.1.3|2|4\t3\t0
+0.1.4|2.3\t2\t0
+0.1|2.3.4\t2\t0
+0.1|2.3|4\t3\t0
+0.1.4|2|3\t3\t2
+0.1|2.4|3\t3\t1
+0.1|2|3.4\t3\t1
+0.1|2|3|4\t4\t1
+0.2.3.4|1\t2\t1
+0.2.3|1.4\t2\t1
+0.2.3|1|4\t3\t0
+0.2.4|1.3\t2\t0
+0.2|1.3.4\t2\t0
+0.2|1.3|4\t3\t0
+0.2.4|1|3\t3\t0
+0.2|1.4|3\t3\t0
+0.2|1|3.4\t3\t0
+0.2|1|3|4\t4\t0
+0.3.4|1.2\t2\t0
+0.3|1.2.4\t2\t0
+0.3|1.2|4\t3\t0
+0.4|1.2.3\t2\t0
+0|1.2.3.4\t2\t2
+0|1.2.3|4\t3\t1
+0.4|1.2|3\t3\t1
+0|1.2.4|3\t3\t1
+0|1.2|3.4\t3\t0
+0|1.2|3|4\t4\t0
+0.3.4|1|2\t3\t2
+0.3|1.4|2\t3\t2
+0.3|1|2.4\t3\t0
+0.3|1|2|4\t4\t1
+0.4|1.3|2\t3\t0
+0|1.3.4|2\t3\t1
+0|1.3|2.4\t3\t1
+0|1.3|2|4\t4\t0
+0.4|1|2.3\t3\t0
+0|1.4|2.3\t3\t0
+0|1|2.3.4\t3\t0
+0|1|2.3|4\t4\t0
+0.4|1|2|3\t4\t0
+0|1.4|2|3\t4\t0
+0|1|2.4|3\t4\t0
+0|1|2|3.4\t4\t0
+0|1|2|3|4\t5\t0
+total\t\t29
+"""
+
+
+def test_kernel_se_m_output_is_pinned(files, capsys):
+    c = files("c5.struct", LOOPED_C5_TEXT)
+    a = files("a4.struct", LOOPED_A4_TEXT)
+    code, out, _ = invoke(["kernel", "--system", "se-m", c, a], capsys)
+    assert code == 0
+    assert out == KERNEL_SE_M_OUT
+
+
 def test_stirling(capsys):
     code, out, _ = invoke(["stirling", "4", "2"], capsys)
     assert code == 0

@@ -3,7 +3,10 @@ import random
 import pytest
 
 import homcount.quotposet
+import homcount.stirling
 from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym, random_looped
+from homcount import homsearch
+from homcount.errors import SignatureMismatchError
 from homcount.homsearch import count_morphisms, hom_count
 from homcount.lovasz import _structures_of_size
 from homcount.selftest import full_acceptance
@@ -13,6 +16,7 @@ from homcount.sigstruct import (
     SE_M,
     MorphismClass,
     Signature,
+    Structure,
     embedding_class,
 )
 from homcount.stirling import (
@@ -151,6 +155,87 @@ def test_is_generic_matches_the_all_collapses_oracle(signature, top):
                             == naive_is_generic(h, c, a, system)), (h, c, a, system)
                     checked += 1
     assert checked > 50_000
+
+
+UNARY_TERNARY = Signature((("U", 1), ("T", 3)))
+BINARY_TERNARY = Signature((("E", 2), ("R", 3)))
+
+
+def _generic_pairs():
+    """(c, a) pairs on `E/2`, `U/1,T/3` and `E/2,R/3`, with a loop (a tuple
+    on one element) per symbol on both sides: sources of 1 to 5 elements
+    into targets of 0 to 5, and pairs of 5 to 7 elements over more than
+    4,096 maps, one of them a source induced in its target."""
+    rng = random.Random("generic")
+    pairs = []
+    for signature, p in ((GRAPH_SIGNATURE, 0.25), (UNARY_TERNARY, 0.06),
+                         (BINARY_TERNARY, 0.05)):
+        empty = Structure(signature, 0, tuple(frozenset() for _ in signature.symbols))
+        for n in range(1, 6):
+            for m in range(6):
+                a = random_looped(rng, signature, m, 0.5) if m else empty
+                pairs.append((random_looped(rng, signature, n, p), a))
+        for n, m in ((6, 5), (5, 6), (5, 7)):
+            pairs.append((random_looped(rng, signature, n, p),
+                          random_looped(rng, signature, m, 0.6)))
+        # c induced in a, so that some E_SM count past 4,096 maps is not 0
+        c = random_looped(rng, signature, 5, p)
+        grown = random_looped(rng, signature, 6, 0.4)
+        pairs.append((c, Structure(signature, 6, tuple(
+            rel | {t for t in more if 5 in t}
+            for rel, more in zip(c.relations, grown.relations)))))
+    return pairs
+
+
+def test_generic_count_matches_the_listing_oracle():
+    # The count of homomorphisms that the all-collapses oracle calls
+    # generic, on both sides of the table path's 4,096 maps.
+    nonzero = set()  # (system, over 4,096 maps) of the pairs with generic elements
+    for c, a in _generic_pairs():
+        homs = naive_morphisms(c, a)
+        for system in (SE_M, E_SM):
+            want = sum(1 for h in homs if naive_is_generic(h, c, a, system))
+            assert generic_count(c, a, system) == want, (c, a, system)
+            if want:
+                nonzero.add((system, a.size ** c.size > homsearch._TABLE_MAPS))
+    assert len(nonzero) == 4
+
+
+def test_generic_count_bitset_and_listing_paths_agree(monkeypatch):
+    # The table rule forced off and on gives the same counts, and a spy on
+    # each side shows which one ran: the bitsets take every pair with a
+    # source and a target of two or more elements once the rule admits it.
+    cases = [(c, a, system) for c, a in _generic_pairs() for system in (SE_M, E_SM)]
+    calls = dict.fromkeys(("_generic_maps", "iter_hom_maps"), 0)
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(homcount.stirling, name, spy(name, getattr(homcount.stirling, name)))
+    by_rule = [generic_count(*case) for case in cases]
+    assert calls["_generic_maps"] == sum(
+        a.size > 1 and a.size ** c.size <= homsearch._TABLE_MAPS for c, a, _ in cases)
+    on_bitsets = sum(a.size > 1 for _, a, _ in cases)
+    for limit, bitsets in ((0, 0), (10 ** 9, on_bitsets)):
+        monkeypatch.setattr(homsearch, "_TABLE_MAPS", limit)
+        calls.update(dict.fromkeys(calls, 0))
+        assert [generic_count(*case) for case in cases] == by_rule
+        assert calls == {"_generic_maps": bitsets, "iter_hom_maps": len(cases) - bitsets}
+    assert any(by_rule)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (6, 5)])
+def test_generic_count_refuses_a_signature_mismatch(n, m):
+    # Over 9 maps (bitsets) and over 15,625 (listing).
+    c = random_looped(random.Random(n), GRAPH_SIGNATURE, n, 0.3)
+    a = random_looped(random.Random(m), UNARY_TERNARY, m, 0.3)
+    for system in (SE_M, E_SM):
+        with pytest.raises(SignatureMismatchError):
+            generic_count(c, a, system)
 
 
 def test_genericity_above_the_partition_cap(monkeypatch):
