@@ -20,14 +20,24 @@ proper quotient of that kind lies below a merge or below an identity-kernel
 quotient that adds a single tuple, so the merges and the single-tuple
 expansions are the whole test family.
 
+A homomorphism h with h(x) = h(y) always factors through the merge
+c/(x ~ y): the merge's relations are the images of c's, so every merged
+tuple is the image of a tuple t of c, and h's induced map sends it to h(t),
+which lies in a.  So on homomorphisms factorisation through a merge is
+decided by h(x) = h(y) alone, and through a single-tuple expansion by
+whether h sends the added tuple into a; `generic_count` tests only that.
+`is_generic` alone also checks that the merged tuples land in a: it is
+given maps that are not homomorphisms as well, and such a map with
+h(x) = h(y) need not factor through the merge.
+
 The same test runs on one of two sides.  Over at most
 `homsearch._TABLE_MAPS` maps c -> a, into a target of two or more elements,
-it runs on the table path's whole-map bitsets, one bit per map: the homomorphisms are the AND of c's tuple masks
-in a's record, a merge of x and y contributes the maps with g(x) = g(y)
-that send its merged tuples into a, a single-tuple expansion contributes
-the maps that send its added tuple into a, and the generic elements are the
-homomorphisms outside the OR of those sets.  Larger hom-sets are listed,
-and each map is tested on its own (`is_generic`'s test).
+it runs on the table path's whole-map bitsets, one bit per map: the
+homomorphisms are the AND of c's tuple masks in a's record, a merge of x
+and y contributes the maps with g(x) = g(y), a single-tuple expansion
+contributes the maps that send its added tuple into a, and the generic
+elements are the homomorphisms outside the OR of those sets.  Larger
+hom-sets are listed, and each homomorphism is tested on its own.
 """
 
 from __future__ import annotations
@@ -74,21 +84,12 @@ def stirling_number(n: int, m: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _factorization_candidates(c: Structure, system: FactorisationSystem):
-    """The coatoms of the quotient poset of c, compiled for `is_generic`.
-
-    The merges of x < y in lexicographic order come first: each carries the
-    merged quotient's relations in representatives (y replaced by x,
-    duplicates removed), so a map's induced map on the quotient is checked
-    without building the quotient.  Under E_SM the single-tuple expansions
-    follow.
-    """
-    merges = []
-    for x, y in combinations(range(c.size), 2):
-        rels = tuple(
-            tuple({tuple([x if z == y else z for z in t]) for t in rel})
-            for rel in c.relations
-        )
-        merges.append((x, y, rels))
+    """The coatoms of the quotient poset of c: the merges, as the pairs
+    x < y in lexicographic order, then under E_SM the single-tuple
+    expansions, as (symbol index, added tuple).  It builds no merged
+    relations: `is_generic`, the one test that needs them, reads them off
+    c's tuples."""
+    merges = tuple(combinations(range(c.size), 2))
     expansions = []
     if system is E_SM:
         for sym_idx, (_, arity) in enumerate(c.signature.symbols):
@@ -96,41 +97,44 @@ def _factorization_candidates(c: Structure, system: FactorisationSystem):
             for t in product(range(c.size), repeat=arity):
                 if t not in have:
                     expansions.append((sym_idx, t))
-    return tuple(merges), tuple(expansions)
+    return merges, tuple(expansions)
 
 
 def _factors_through(h, a: Structure, merges, expansions) -> bool:
-    """Does h factor through one of the compiled coatoms?"""
-    for x, y, rels in merges:
-        if h[x] == h[y] and all(
-            tuple([h[z] for z in t]) in rel_a
-            for ts, rel_a in zip(rels, a.relations) for t in ts
-        ):
+    """Does the homomorphism h factor through one of the compiled coatoms?
+    Through the merge of x and y iff h[x] == h[y] (module docstring)."""
+    for x, y in merges:
+        if h[x] == h[y]:
             return True
-    for sym_idx, t in expansions:
-        if tuple([h[z] for z in t]) in a.relations[sym_idx]:
+    for sym, t in expansions:
+        if tuple([h[z] for z in t]) in a.relations[sym]:
             return True
     return False
 
 
 def is_generic(h, c: Structure, a: Structure,
                system: FactorisationSystem = SE_M) -> bool:
-    """Does the homomorphism h factor through no proper quotient of c?
+    """Does the map h factor through no proper quotient of c?
 
-    It is enough to test the coatoms (see the module docstring).
-    Factorization through the merge of x and y holds iff h[x] == h[y] and
-    the induced map is a homomorphism from the merged quotient, i.e. every
-    merged tuple, read in representatives, maps into a; factorization
-    through a single-tuple expansion holds iff h carries the added tuple
-    into a relation of a.
+    It is enough to test the coatoms (see the module docstring).  h need
+    not be a homomorphism, so factorization through the merge of x and y
+    holds iff h[x] == h[y] and the induced map is a homomorphism from the
+    merged quotient, i.e. every merged tuple, read in representatives (y
+    replaced by x), maps into a; factorization through a single-tuple
+    expansion holds iff h carries the added tuple into a relation of a.
     """
-    return not _factors_through(h, a, *_factorization_candidates(c, system))
+    merges, expansions = _factorization_candidates(c, system)
+    merges = [(x, y) for x, y in merges if h[x] == h[y] and all(
+        tuple([h[x if z == y else z] for z in t]) in rel_a
+        for rel, rel_a in zip(c.relations, a.relations) for t in rel)]
+    return not _factors_through(h, a, merges, expansions)
 
 
 def _generic_maps(c: Structure, a: Structure, merges, expansions) -> int:
     """The generic elements of hom(c, a) as a bitset over the maps c -> a
-    (`homsearch._map_space`): the homomorphisms that factor through none of
-    the compiled coatoms.  Needs |c| >= 1 and |a| >= 2."""
+    (`homsearch._map_space`): the homomorphisms outside the maps with
+    g(x) = g(y) for a merge (x, y) and the maps that send an expansion's
+    added tuple into a.  Needs |c| >= 1 and |a| >= 2."""
     (homs, proj, _, _, same), known = _map_table(a, c.size)
 
     def mask(sym, t):  # the maps that send t into a's relation sym
@@ -146,12 +150,8 @@ def _generic_maps(c: Structure, a: Structure, merges, expansions) -> int:
     if not homs:
         return 0
     through = 0
-    for x, y, rels in merges:
-        bits = homs & same[y][x]
-        for sym, ts in enumerate(rels):
-            for t in ts:
-                bits &= mask(sym, t)
-        through |= bits
+    for x, y in merges:
+        through |= same[y][x]
     for sym, t in expansions:
         through |= mask(sym, t)
     return homs & ~through
@@ -160,7 +160,8 @@ def _generic_maps(c: Structure, a: Structure, merges, expansions) -> int:
 def generic_count(c: Structure, a: Structure,
                   system: FactorisationSystem = SE_M) -> int:
     """Number of generic elements of hom(c, a), computed by definition: the
-    homomorphisms that factor through no coatom of c's quotient poset, as
+    homomorphisms that factor through no coatom of c's quotient poset, a
+    merge (x, y) decided by h(x) = h(y) alone (module docstring), as
     bitsets of maps over at most `_TABLE_MAPS` maps, else map by map.  A
     target of at most one element admits at most one map, which is listed."""
     _class_rules(MorphismClass.QUOTIENT, system)  # refuses an unknown system

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,8 @@ from homcount.sigstruct import (
     embedding_class,
 )
 from homcount.stirling import (
+    _factorization_candidates,
+    _factors_through,
     _realized_quotients,
     generic_count,
     is_generic,
@@ -28,6 +31,7 @@ from homcount.stirling import (
 )
 from oracles import (
     all_maps,
+    is_hom,
     naive_count,
     naive_is_generic,
     naive_morphisms,
@@ -226,6 +230,40 @@ def test_generic_count_bitset_and_listing_paths_agree(monkeypatch):
         assert [generic_count(*case) for case in cases] == by_rule
         assert calls == {"_generic_maps": bitsets, "iter_hom_maps": len(cases) - bitsets}
     assert any(by_rule)
+
+
+def test_a_homomorphism_factors_through_every_merge_it_identifies():
+    # Why `generic_count` decides a merge by h[x] == h[y] alone: the merge's
+    # relations are images of c's, so on every pair of `_generic_pairs`
+    # (mixed arity, loops) the map a homomorphism with h[x] == h[y] induces
+    # on the collapse of c by {x, y} is a homomorphism.
+    checked = 0
+    for c, a in _generic_pairs():
+        for h in naive_morphisms(c, a):
+            for x, y in combinations(range(c.size), 2):
+                if h[x] != h[y]:
+                    continue
+                block = [z - (z > y) for z in range(c.size)]
+                block[y] = x
+                merged = Structure(c.signature, c.size - 1, tuple(
+                    frozenset(tuple(block[z] for z in t) for t in rel) for rel in c.relations))
+                induced = [h[z] for z in range(c.size) if z != y]
+                assert is_hom(induced, merged, a), (h, x, y, c, a)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_is_generic_keeps_the_merged_tuple_test_off_homomorphisms():
+    # h sends the arc of c to no arc of a point, so it is no homomorphism,
+    # and it factors through no quotient: the merge's loop has nowhere to
+    # go.  The listing's test, right on homomorphisms only, decides the
+    # merge by h[0] == h[1] and calls h degenerate.
+    c, a, h = digraph(2, {(0, 1)}), no_relation(1), (0, 0)
+    assert not is_hom(h, c, a)
+    for system in (SE_M, E_SM):
+        assert naive_is_generic(h, c, a, system)
+        assert is_generic(h, c, a, system)
+        assert _factors_through(h, a, *_factorization_candidates(c, system))
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (6, 5)])
