@@ -3,10 +3,13 @@ tree-width-bounded test structures, a Weisfeiler-Leman oracle, hom-profile
 comparison.
 
 Tree-width of a structure is the tree-width of its Gaifman graph (each
-relation tuple turns into a clique on its elements).  Equivalence in
-k-variable counting logic is decided by (k-1)-dimensional Weisfeiler-Leman
-refinement: classical colour refinement on elements for k = 2, refinement of
-(k-1)-tuples by substitution neighbourhoods for k >= 3.  That correspondence
+relation tuple turns into a clique on its elements), read as bitmasks from
+`sigstruct._gaifman`, the one source of that graph.  One search over those
+bitmasks, `_reach`, gives connectivity, the exact DP's fill term and the
+bags of a decomposition.  Equivalence in k-variable counting logic is
+decided by (k-1)-dimensional Weisfeiler-Leman refinement: classical colour
+refinement on elements for k = 2, refinement of (k-1)-tuples by
+substitution neighbourhoods for k >= 3.  That correspondence
 (Cai-Fuerer-Immerman / Immerman-Lander) is an external theorem this module
 relies on, not something it re-proves.
 """
@@ -20,56 +23,34 @@ from functools import lru_cache
 from .errors import cap_exceeded
 from .homsearch import hom_count
 from .lovasz import _candidate_counts, _capped_sizes, _catalogue, _structures_of_size
-from .sigstruct import Signature, Structure, _check_same_signature
+from .sigstruct import Signature, Structure, _check_same_signature, _gaifman
 from .trees import _encodings_of_size, _rooted_tree_counts, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
 
 
-def gaifman_adjacency(a: Structure) -> list[set[int]]:
-    adj = [set() for _ in range(a.size)]
-    for rel in a.relations:
-        for t in rel:
-            elems = sorted(set(t))
-            for x, y in itertools.combinations(elems, 2):
-                adj[x].add(y)
-                adj[y].add(x)
-    return adj
+def _reach(nbrs, start: int, through: int) -> int:
+    """The elements reachable from the bitmask `start` along the Gaifman
+    graph `nbrs` (`sigstruct._gaifman`) with every inner element of the path
+    in the bitmask `through`: start itself, and each neighbour of start or
+    of an element of `through` reached so far."""
+    seen = grow = start
+    while grow:
+        near = 0
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            near |= nbrs[low.bit_length() - 1]
+        grow = near & ~seen
+        seen |= grow
+        grow &= through
+    return seen
 
 
 def is_connected(a: Structure) -> bool:
     """Connectivity of the Gaifman graph; the empty structure is not connected."""
-    if a.size == 0:
-        return False
-    adj = gaifman_adjacency(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == a.size
-
-
-def _fill_degree(adj, mask: int, v: int, n: int) -> int:
-    """Vertices outside mask|{v} reachable from v through vertices inside mask."""
-    seen = 1 << v
-    stack = [v]
-    count = 0
-    vbit = 1 << v
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            ybit = 1 << y
-            if seen & ybit:
-                continue
-            seen |= ybit
-            if mask & ybit:
-                stack.append(y)
-            elif ybit != vbit:
-                count += 1
-    return count
+    full = (1 << a.size) - 1
+    return a.size > 0 and _reach(_gaifman(a), 1, full) == full
 
 
 def treewidth(a: Structure) -> int:
@@ -85,7 +66,7 @@ def _treewidth_dp(a: Structure) -> tuple[int, list[int]]:
                            n, "elements")
     if n == 0:
         return 0, []
-    adj = gaifman_adjacency(a)
+    nbrs = _gaifman(a)
     full = (1 << n) - 1
     best = [0] * (full + 1)
     choice = [0] * (full + 1)
@@ -96,8 +77,10 @@ def _treewidth_dp(a: Structure) -> tuple[int, list[int]]:
             vbit = 1 << v
             if not mask & vbit:
                 continue
+            # the fill term: the elements outside mask that v reaches
+            # through the ones eliminated before it
             rest = mask ^ vbit
-            value = max(best[rest], _fill_degree(adj, rest, v, n))
+            value = max(best[rest], (_reach(nbrs, vbit, rest) & ~mask).bit_count())
             if value < best_here:
                 best_here = value
                 pick = v
@@ -121,22 +104,21 @@ class TreeDecomposition:
 
 
 def tree_decomposition(a: Structure) -> TreeDecomposition:
-    """An optimal-width decomposition built from the DP's elimination order."""
-    width, order = _treewidth_dp(a)
+    """An optimal-width decomposition built from the DP's elimination order:
+    the bag of v is v and its neighbours when it is eliminated, the later
+    elements it reaches through the ones eliminated before it."""
+    _, order = _treewidth_dp(a)
     n = a.size
     if n == 0:
         return TreeDecomposition((), (), 0)
+    nbrs = _gaifman(a)
     position = {v: i for i, v in enumerate(order)}
-    fill = [set(ns) for ns in gaifman_adjacency(a)]
     bags = []
+    done = 0
     for v in order:
-        later = {u for u in fill[v] if position[u] > position[v]}
-        bags.append(frozenset({v} | later))
-        for u, w in itertools.combinations(later, 2):
-            fill[u].add(w)
-            fill[w].add(u)
-        for u in later:
-            fill[u].discard(v)
+        bag = _reach(nbrs, 1 << v, done) & ~done
+        bags.append(frozenset(u for u in range(n) if bag >> u & 1))
+        done |= 1 << v
     edges = []
     for i, v in enumerate(order):
         later = bags[i] - {v}

@@ -104,7 +104,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, permutations, product
+from itertools import islice
 from operator import itemgetter
 
 from .quotposet import collapse_structure, set_partitions
@@ -116,6 +116,8 @@ from .sigstruct import (
     Structure,
     _check_same_signature,
     _class_rules,
+    _gaifman,
+    _non_tuples,
     reflects_relations,
 )
 
@@ -147,7 +149,8 @@ class _Record:
     tuple-occurrence degree), and `steps[s]` the tuples that become fully
     assigned at step s, grouped as `_step_tuples` says, each other variable
     by its index in the map being built.  `neighbours[x]` is the bitmask
-    of x's neighbours in the Gaifman graph.  `walk` is (w, order, fronts), the
+    of x's neighbours in the Gaifman graph, read from `sigstruct._gaifman`,
+    the one source of that graph.  `walk` is (w, order, fronts), the
     frontier DP's variable order and the frontier before each of its steps
     (`_frontier_walk`; a frontier is the variables assigned so far that
     share a tuple with an unassigned one); w, the largest frontier, is what
@@ -156,8 +159,9 @@ class _Record:
     completed at step s as above, but each other variable by its index in
     fronts[s]; `keep`, the itemgetter of the values of fronts[s] that stay
     in fronts[s + 1]; `stays`, whether the new variable joins it.  `absent`
-    is `steps` for the non-tuples
-    (the tuples of variables outside a relation), along the same `order`:
+    is `steps` for the non-tuples (the tuples of variables outside a
+    relation, read from `sigstruct._non_tuples`, their one source, which
+    the table path's reflection test reads too), along the same `order`:
     an injective homomorphism reflects every relation exactly when it sends
     none of them into the target's relation, so the strong-mono search
     masks out, at each step, the values that would.
@@ -195,10 +199,7 @@ class _Record:
 
     @cached_property
     def absent(self):
-        s = self.structure
-        non_tuples = [[t for t in product(range(s.size), repeat=arity) if t not in rel]
-                      for (_, arity), rel in zip(s.signature.symbols, s.relations)]
-        return _step_tuples(non_tuples, self.order, lambda step, x: x)
+        return _step_tuples(_non_tuples(self.structure), self.order, lambda step, x: x)
 
     @cached_property
     def quotients(self):
@@ -207,14 +208,7 @@ class _Record:
 
     @cached_property
     def neighbours(self):
-        pairs = set()  # (x, y) for x, y at two positions of one tuple
-        for rel in self.structure.relations:
-            for xs, ys in permutations(list(zip(*rel)), 2):
-                pairs.update(zip(xs, ys))
-        nbrs = [0] * self.structure.size
-        for x, y in pairs:
-            nbrs[x] |= 1 << y
-        return [near & ~(1 << x) for x, near in enumerate(nbrs)]
+        return _gaifman(self.structure)
 
     @cached_property
     def walk(self):
@@ -446,14 +440,13 @@ def _table_count(c: Structure, a: Structure, injective: bool,
             if not mask:
                 return 0
     if injective and reflects:
-        for sym, ((_, arity), rel) in enumerate(zip(c.signature.symbols, c.relations)):
+        for sym, absent in enumerate(_non_tuples(c)):
             seen = known[sym]
-            for t in product(range(n), repeat=arity):
-                if t not in rel:
-                    bits = seen.get(t)
-                    if bits is None:
-                        bits = seen[t] = _tuple_mask(proj, a.relations[sym], t)
-                    mask &= ~bits
+            for t in absent:
+                bits = seen.get(t)
+                if bits is None:
+                    bits = seen[t] = _tuple_mask(proj, a.relations[sym], t)
+                mask &= ~bits
             if not mask:
                 return 0
     return mask.bit_count()

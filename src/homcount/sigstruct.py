@@ -126,6 +126,28 @@ class Structure:
         return sum(len(r) for r in self.relations)
 
 
+def _gaifman(s: Structure) -> list[int]:
+    """The Gaifman graph of s: for each element, the bitmask of the other
+    elements it shares a tuple with."""
+    near = [0] * s.size
+    for rel in s.relations:
+        for t in rel:
+            bits = 0
+            for x in t:
+                bits |= 1 << x
+            for x in t:
+                near[x] |= bits
+    return [bits & ~(1 << x) for x, bits in enumerate(near)]
+
+
+def _non_tuples(s: Structure) -> list[list[tuple[int, ...]]]:
+    """For each symbol, the tuples of s's elements outside its relation, in
+    lexicographic order."""
+    return [list(itertools.filterfalse(rel.__contains__,
+                                       itertools.product(range(s.size), repeat=arity)))
+            for (_, arity), rel in zip(s.signature.symbols, s.relations)]
+
+
 def _check_same_signature(a: Structure, b: Structure):
     if a.signature != b.signature:
         raise SignatureMismatchError(
@@ -326,8 +348,6 @@ def _canonical(a: Structure):
         )
         if best is None or rels < best:
             best = rels
-    if best is None:  # size 0
-        best = tuple(() for _ in a.relations)
     return best
 
 

@@ -64,6 +64,7 @@ from .sigstruct import (
     Structure,
     _check_same_signature,
     _class_rules,
+    _non_tuples,
 )
 
 
@@ -86,18 +87,15 @@ def stirling_number(n: int, m: int) -> int:
 def _factorization_candidates(c: Structure, system: FactorisationSystem):
     """The coatoms of the quotient poset of c: the merges, as the pairs
     x < y in lexicographic order, then under E_SM the single-tuple
-    expansions, as (symbol index, added tuple).  It builds no merged
+    expansions, as (symbol index, added tuple), one per non-tuple of c
+    (`sigstruct._non_tuples`) in that order.  It builds no merged
     relations: `is_generic`, the one test that needs them, reads them off
     c's tuples."""
     merges = tuple(combinations(range(c.size), 2))
-    expansions = []
-    if system is E_SM:
-        for sym_idx, (_, arity) in enumerate(c.signature.symbols):
-            have = c.relations[sym_idx]
-            for t in product(range(c.size), repeat=arity):
-                if t not in have:
-                    expansions.append((sym_idx, t))
-    return merges, tuple(expansions)
+    if system is not E_SM:
+        return merges, ()
+    return merges, tuple((sym, t) for sym, absent in enumerate(_non_tuples(c))
+                         for t in absent)
 
 
 def _factors_through(h, a: Structure, merges, expansions) -> bool:

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
+from conftest import complete_sym, cycle_sym, digraph, mixed_cases, no_relation, path_sym
 from homcount import cklogic, lovasz
 from homcount.cklogic import (
     TREEWIDTH_SIZE_CAP,
+    TreeDecomposition,
     ck_profile_equal,
     enumerate_tw_lt_k,
     is_connected,
@@ -23,7 +24,12 @@ from homcount.sigstruct import (
     are_isomorphic,
     canonical_form,
 )
-from oracles import brute_treewidth, filter_first_tw_lt_k, is_valid_decomposition
+from oracles import (
+    brute_treewidth,
+    filter_first_tw_lt_k,
+    gaifman_connected,
+    is_valid_decomposition,
+)
 
 
 def random_digraph(rng, n, p=0.35):
@@ -94,6 +100,23 @@ def test_tree_decomposition_is_valid_and_optimal():
         td = tree_decomposition(a)
         assert is_valid_decomposition(a, td)
         assert td.width == treewidth(a)
+
+
+def test_the_empty_structure_is_not_connected_and_has_no_bags():
+    assert is_connected(no_relation(0)) is False
+    assert tree_decomposition(no_relation(0)) == TreeDecomposition((), (), 0)
+
+
+def test_tree_width_layer_matches_the_oracles_on_mixed_arity():
+    # connectivity, exact width and a valid optimal decomposition, over
+    # E/2 R/3 and U/1 T/3 structures of 0 to 7 elements with loops
+    for s in mixed_cases(197):
+        assert is_connected(s) == gaifman_connected(s)
+        width = treewidth(s)
+        assert width == brute_treewidth(s)
+        td = tree_decomposition(s)
+        assert is_valid_decomposition(s, td)
+        assert td.width == width
 
 
 def test_enumerate_tw_lt_1():

@@ -578,6 +578,35 @@ def test_usage_error_exit_2(capsys):
     assert run(["nonsense"]) == 2
 
 
+MIXED_TEXT = "signature E/2 R/3\nstructure m size 2\nE: (0,1)\nR: (0,1,1)\nend\n"
+BAD_ENTRY_FAMILY_TEXT = ("group Z2 order 2 table 0 1 / 1 0 end\n"
+                         "group Y order 2 table 0 1 / 1 2 end\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["count", "MISSING", "K3"], 2, "", "error: cannot read MISSING"),
+    (["ck", "--k", "2", "K3", "K3"], 2, "", "error: --budget is required"),
+    (["ck", "--k", "0", "--budget", "2", "K3", "K3"], 2, "", "error: k must be >= 1"),
+    (["ck", "--k", "2", "--budget", "2", "--undirected", "MIXED", "MIXED"], 2, "",
+     "error: the undirected preset needs exactly one binary symbol"),
+    (["stirling", "-1", "2"], 2, "", "error: arguments must be non-negative"),
+    (["trees", "distinguish", "--budget", "3", "TREE", "TREE"], 0,
+     "profiles-equal-within-budget\n", ""),
+    (["tower", "count", "TOWER", "BAD_FAMILY"], 2, "",
+     "error: line 2: table entries out of range"),
+])
+def test_refusals_and_equal_trees_exit_cleanly(files, tmp_path, capsys, argv, code, out,
+                                               err):
+    paths = {"K3": files("k3.struct", K3_TEXT), "MIXED": files("m.struct", MIXED_TEXT),
+             "TREE": files("t.tree", TREES_TEXT), "TOWER": files("t.twr", TOWER_TEXT),
+             "BAD_FAMILY": files("bad.grp", BAD_ENTRY_FAMILY_TEXT),
+             "MISSING": str(tmp_path / "missing.struct")}
+    got_code, got_out, got_err = invoke([paths.get(arg, arg) for arg in argv], capsys)
+    assert (got_code, got_out) == (code, out)
+    assert got_err.startswith(err.replace("MISSING", paths["MISSING"]))
+    assert "Traceback" not in got_err
+
+
 def test_byte_identical_reruns(files, capsys):
     a = files("c6.struct", C6_TEXT)
     b = files("2c3.struct", TWO_C3_TEXT)

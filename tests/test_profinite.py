@@ -106,6 +106,24 @@ def test_group_validation_rejects_bad_tables():
         FiniteGroup(2, ((1, 0), (0, 0)))  # no two-sided identity fails assoc/inv
 
 
+def test_group_validation_names_a_missing_identity_or_inverse():
+    with pytest.raises(ValueError, match="no identity element"):
+        FiniteGroup(2, ((0, 0), (0, 0)))  # associative, constant
+    with pytest.raises(ValueError, match="element 1 has no inverse"):
+        FiniteGroup(2, ((0, 1), (1, 1)))  # max: identity 0, and 1 absorbs
+
+
+def test_refused_towers_and_surjections():
+    with pytest.raises(ValueError, match="connecting map 0 has wrong endpoints"):
+        Tower((Z2, Z4), (mod_surjection(8, 2),))
+    with pytest.raises(ValueError, match="m must divide n"):
+        mod_surjection(6, 4)
+    shallow = Tower((Z2, Z4), (mod_surjection(4, 2),))
+    deep = Tower((Z2, Z4, Z8), (mod_surjection(4, 2), mod_surjection(8, 4)))
+    assert towers_isomorphic(shallow, deep) is False
+    assert towers_isomorphic(deep, shallow) is False
+
+
 def test_group_hom_validation():
     GroupHom(Z4, Z2, (0, 1, 0, 1))
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym
+from conftest import complete_sym, cycle_sym, digraph, mixed_cases, no_relation, path_sym
 from homcount.errors import CapExceededError, SignatureMismatchError
 from homcount.lovasz import _structures_of_size
 from homcount.sigstruct import (
@@ -14,6 +14,8 @@ from homcount.sigstruct import (
     MorphismClass,
     Signature,
     Structure,
+    _gaifman,
+    _non_tuples,
     _representative_code,
     are_isomorphic,
     canonical_form,
@@ -22,7 +24,7 @@ from homcount.sigstruct import (
     pushout,
     validate_morphism,
 )
-from oracles import brute_isomorphic, identity_morphism, naive_count
+from oracles import brute_isomorphic, gaifman_edges, identity_morphism, naive_count
 
 CLS = MorphismClass
 
@@ -239,6 +241,25 @@ def test_canonical_form_separates_c6_from_triangles(c6, two_c3):
 
 def test_canonical_form_empty_structure():
     assert canonical_form(no_relation(0)) == b"0|E/2:"
+    mixed = Signature((("E", 2), ("R", 3)))
+    assert canonical_form(Structure.build(mixed, 0)) == b"0|E/2:|R/3:"
+
+
+def test_gaifman_matches_the_edge_oracle():
+    # both directions of every oracle edge, and no element its own neighbour
+    for s in mixed_cases(181):
+        nbrs = _gaifman(s)
+        assert len(nbrs) == s.size
+        edges = gaifman_edges(s)
+        assert {(x, y) for x in range(s.size) for y in range(s.size)
+                if nbrs[x] >> y & 1} == edges | {(y, x) for x, y in edges}
+
+
+def test_non_tuples_are_the_tuples_outside_each_relation_in_order():
+    for s in mixed_cases(191):
+        assert _non_tuples(s) == [
+            sorted(set(itertools.product(range(s.size), repeat=arity)) - rel)
+            for (_, arity), rel in zip(s.signature.symbols, s.relations)]
 
 
 def test_canonical_form_cap():

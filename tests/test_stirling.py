@@ -1,11 +1,19 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import homcount.quotposet
 import homcount.stirling
-from conftest import complete_sym, cycle_sym, digraph, no_relation, path_sym, random_looped
+from conftest import (
+    complete_sym,
+    cycle_sym,
+    digraph,
+    mixed_cases,
+    no_relation,
+    path_sym,
+    random_looped,
+)
 from homcount import homsearch
 from homcount.errors import SignatureMismatchError
 from homcount.homsearch import count_morphisms, hom_count
@@ -230,6 +238,25 @@ def test_generic_count_bitset_and_listing_paths_agree(monkeypatch):
         assert [generic_count(*case) for case in cases] == by_rule
         assert calls == {"_generic_maps": bitsets, "iter_hom_maps": len(cases) - bitsets}
     assert any(by_rule)
+
+
+def test_factorization_candidates_keep_their_expansions_and_order():
+    # the E_SM expansions are c's non-tuples, symbol by symbol, each symbol's
+    # in lexicographic order; SE_M has none
+    sig = Signature((("E", 2), ("R", 3)))
+    c = Structure.build(sig, 2, {"E": {(0, 1)}, "R": {(0, 1, 1), (1, 0, 0)}})
+    assert _factorization_candidates(c, E_SM) == (((0, 1),), (
+        (0, (0, 0)), (0, (1, 0)), (0, (1, 1)),
+        (1, (0, 0, 0)), (1, (0, 0, 1)), (1, (0, 1, 0)), (1, (1, 0, 1)), (1, (1, 1, 0)),
+        (1, (1, 1, 1))))
+    assert _factorization_candidates(c, SE_M) == (((0, 1),), ())
+    for c in mixed_cases(211, per_size=2, sizes=range(6)):
+        merges, expansions = _factorization_candidates(c, E_SM)
+        assert merges == tuple(combinations(range(c.size), 2))
+        assert expansions == tuple(
+            (sym, t) for sym, ((_, arity), rel) in enumerate(zip(c.signature.symbols,
+                                                                c.relations))
+            for t in sorted(set(product(range(c.size), repeat=arity)) - rel))
 
 
 def test_a_homomorphism_factors_through_every_merge_it_identifies():
