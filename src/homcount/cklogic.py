@@ -208,18 +208,6 @@ def enumerate_tw_lt_k(signature: Signature, k: int, max_size: int,
     return tuple(s for n in sizes for s in _tw_level(signature, k, n, undirected))
 
 
-def _initial_colors_1(s: Structure):
-    colors = {}
-    for x in range(s.size):
-        atom = frozenset(
-            sym_idx
-            for sym_idx, (_, arity) in enumerate(s.signature.symbols)
-            if (x,) * arity in s.relations[sym_idx]
-        )
-        colors[x] = atom
-    return colors
-
-
 def _refine_1(s: Structure, colors):
     sigs = {}
     for x in range(s.size):
@@ -266,7 +254,8 @@ def wl_equivalent(a: Structure, b: Structure, k: int) -> bool:
         raise ValueError("k must be >= 2")
     d = k - 1
     if d == 1:
-        col_a, col_b = _initial_colors_1(a), _initial_colors_1(b)
+        col_a, col_b = ({x: c for (x,), c in _initial_colors_d(s, 1).items()}
+                        for s in (a, b))
         refine = _refine_1
     else:
         col_a, col_b = _initial_colors_d(a, d), _initial_colors_d(b, d)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a distinguishing witness was found (the inputs
 differ), 2 usage or parse error, 3 a size/enumeration cap was exceeded, 4 an
-internal error (a traceback on stderr, or a failed selftest).
+internal error (a traceback on stderr, or a failed selftest).  A command
+whose stdout is closed early (`homcount ... | head`) is ended by SIGPIPE,
+where the platform has it, with nothing on stderr, as `cat` is.
 Output on stdout is deterministic TSV or structure blocks; diagnostics go to
 stderr.  The environment variable HOMCOUNT_CAP overrides the global
 structure-count cap.
@@ -477,6 +479,12 @@ def _internal_error() -> int:
 
 
 def main() -> None:
+    # the default SIGPIPE action ends a command whose stdout is closed early
+    # silently, as it ends `cat`; `run` leaves process-wide state alone
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -107,8 +107,8 @@ def parse_structures(text: str) -> list[tuple[str, Structure]]:
                     raise ParseError(f"tuple {match.group(0)} has arity {len(t)}, "
                                      f"expected {signature.arity(sym)}", ln)
                 if any(not 0 <= x < size for x in t):
-                    raise ParseError(f"tuple {match.group(0)} out of range 0..{size - 1}",
-                                     ln)
+                    bounds = f"0..{size - 1}" if size else "(the structure has no elements)"
+                    raise ParseError(f"tuple {match.group(0)} out of range {bounds}", ln)
                 relations[sym].append(t)
         out.append((m.group(1), _built(Structure.build, lineno, signature, size, relations)))
     return out

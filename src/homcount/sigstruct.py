@@ -103,7 +103,9 @@ class Structure:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name}/{arity}")
                 if any(not (0 <= x < self.size) for x in t):
-                    raise ValueError(f"tuple {t} of {name} out of range 0..{self.size - 1}")
+                    bounds = (f"0..{self.size - 1}" if self.size
+                              else "(the structure has no elements)")
+                    raise ValueError(f"tuple {t} of {name} out of range {bounds}")
 
     @staticmethod
     def build(signature: Signature, size: int, relations=None) -> Structure:

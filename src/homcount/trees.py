@@ -40,21 +40,10 @@ class FiniteTree:
             p = self.parent[v]
             if p != -1 and not 0 <= p < self.size:
                 raise ValueError(f"parent of {v} out of range")
-        # acyclicity: every node must reach the root.  Each walk stops at the
-        # first node already known to reach it, so every link is followed once.
-        reaches = [False] * self.size
-        on_walk = [False] * self.size
-        for v in range(self.size):
-            walk = []
-            x = v
-            while x != -1 and not reaches[x]:
-                if on_walk[x]:
-                    raise ValueError("parent links contain a cycle")
-                on_walk[x] = True
-                walk.append(x)
-                x = self.parent[x]
-            for x in walk:
-                reaches[x] = True
+        # acyclicity: the root-first walk reaches exactly the nodes whose
+        # parent chain ends at the root, and it ends, as the root is on no cycle
+        if len(self._topological()) != self.size:
+            raise ValueError("parent links contain a cycle")
 
     @property
     def root(self) -> int | None:
@@ -179,8 +168,6 @@ def tree_from_encoding(code) -> FiniteTree:
 @lru_cache(maxsize=64)
 def _encodings_of_size(n: int) -> tuple:
     """Sorted canonical encodings of all rooted trees with exactly n nodes."""
-    if n == 0:
-        return ()
     if n == 1:
         return ((),)
     results = set()

@@ -301,12 +301,12 @@ def test_wl_distinguishes_sizes():
 def test_wl_monotone_refinement_on_colors():
     # Refinement partitions only get finer: once split, never merged.  Checked
     # via the internal one-dimensional refinement rounds.
-    from homcount.cklogic import _initial_colors_1, _refine_1
+    from homcount.cklogic import _initial_colors_d, _refine_1
 
     rng = random.Random(73)
     for _ in range(10):
         a = random_digraph(rng, 5, 0.4)
-        colors = _initial_colors_1(a)
+        colors = {x: c for (x,), c in _initial_colors_d(a, 1).items()}
 
         def blocks(c):
             out = {}

@@ -1,11 +1,17 @@
 import io
+import os
+import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import homcount.cli
+import homcount.profinite
 import homcount.selftest
+import homcount.stirling
 from homcount.cli import EXIT_INTERNAL, run
 from homcount.errors import InvariantViolationError
 
@@ -649,6 +655,48 @@ def test_failed_internal_check_exit_4_with_traceback(files, capsys, monkeypatch)
     assert code == EXIT_INTERNAL
     assert out == ""
     assert "Traceback" in err and "InvariantViolationError: kernel rows do not add up" in err
+
+
+def test_a_kernel_that_does_not_add_up_exits_4_with_traceback(files, capsys, monkeypatch):
+    real = homcount.stirling.hom_count
+    monkeypatch.setattr(homcount.stirling, "hom_count", lambda c, a: real(c, a) + 1)
+    a = files("k3.struct", K3_TEXT)
+    code, out, err = invoke(["kernel", a, a], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err
+    assert "InvariantViolationError: kernel decomposition of hom-set does not add up" in err
+
+
+def test_tower_counts_that_decrease_exit_4_with_traceback(files, capsys, monkeypatch):
+    monkeypatch.setattr(homcount.profinite, "count_group_homs", lambda g, c: 10 - g.order)
+    t = files("t.twr", TOWER_TEXT)
+    fam = files("fam.grp", Z2_FAMILY_TEXT)
+    code, out, err = invoke(["tower", "count", t, fam], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" in err
+    assert "InvariantViolationError: hom counts decreased along the tower: [8, 6, 2]" in err
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_command_by_sigpipe_silently(files):
+    # 100,000 listed maps are 1.6 MB, more than a pipe buffer holds (64 KB by
+    # default on Linux, 1 MB at most), so the command is still writing when
+    # its reader goes away.
+    c = files("e6.struct", "signature E/2\nstructure e6 size 6\nE:\nend\n")
+    a = files("e10.struct", "signature E/2\nstructure e10 size 10\nE:\nend\n")
+    src = str(Path(homcount.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homcount.cli", "count", "--limit", "100000", c, a],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1000000\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 @pytest.mark.parametrize("command", ["distinguish", "mobius"])

@@ -59,6 +59,14 @@ def test_parse_rejects_out_of_range_index():
     assert err.value.line == 3
 
 
+def test_parse_says_a_size_0_structure_has_no_elements():
+    text = "signature E/2\nstructure a size 0\nE: (2,0)\nend\n"
+    with pytest.raises(ParseError) as err:
+        parse_structures(text)
+    assert str(err.value) == \
+        "line 3: tuple (2,0) out of range (the structure has no elements)"
+
+
 def test_parse_rejects_arity_mismatch():
     text = "signature E/2\nstructure a size 2\nE: (0,1,0)\nend\n"
     with pytest.raises(ParseError) as err:
@@ -145,6 +153,11 @@ def test_parse_groups_and_towers():
     t = towers["T"]
     assert [g.order for g in t.levels] == [2, 4]
     assert t.connecting[0].map == (0, 1, 0, 1)
+
+
+def test_a_trailing_slash_opens_a_row_that_end_drops():
+    groups, _ = parse_groups_and_towers("group Z2 order 2 table 0 1 / 1 0 / end")
+    assert groups["Z2"].table == ((0, 1), (1, 0))
 
 
 def test_parse_tower_rejects_non_surjective_connect():

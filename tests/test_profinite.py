@@ -114,6 +114,8 @@ def test_group_validation_names_a_missing_identity_or_inverse():
 
 
 def test_refused_towers_and_surjections():
+    with pytest.raises(ValueError, match="a tower has at least one level"):
+        Tower((), ())
     with pytest.raises(ValueError, match="connecting map 0 has wrong endpoints"):
         Tower((Z2, Z4), (mod_surjection(8, 2),))
     with pytest.raises(ValueError, match="m must divide n"):

@@ -50,6 +50,24 @@ def test_structure_validation():
         Structure.build(GRAPH_SIGNATURE, 2, {"E": {(0, 1, 1)}})
     with pytest.raises(ValueError):
         Structure.build(GRAPH_SIGNATURE, 2, {"R": {(0, 1)}})
+    with pytest.raises(ValueError, match="size must be non-negative"):
+        Structure(GRAPH_SIGNATURE, -1, (frozenset(),))
+    with pytest.raises(ValueError, match="one relation per signature symbol"):
+        Structure(GRAPH_SIGNATURE, 2, ())
+
+
+def test_signature_lookups_refuse_an_unknown_name():
+    assert GRAPH_SIGNATURE.arity("E") == 2 and GRAPH_SIGNATURE.index("E") == 0
+    with pytest.raises(KeyError):
+        GRAPH_SIGNATURE.arity("R")
+    with pytest.raises(KeyError):
+        GRAPH_SIGNATURE.index("R")
+
+
+def test_a_tuple_in_a_size_0_structure_is_refused_as_having_no_elements():
+    with pytest.raises(ValueError) as err:
+        Structure.build(GRAPH_SIGNATURE, 0, {"E": {(2, 0)}})
+    assert str(err.value) == "tuple (2, 0) of E out of range (the structure has no elements)"
 
 
 def test_validate_morphism_identity_is_hom(k3):
@@ -70,6 +88,12 @@ def test_validate_morphism_signature_mismatch(k3):
     other = Structure.build(Signature((("R", 2),)), 3, {})
     with pytest.raises(SignatureMismatchError):
         validate_morphism((0, 1, 2), k3, other, CLS.HOM)
+
+
+def test_validate_morphism_refuses_a_map_that_is_not_total(k3):
+    for f in ((0, 1), (0, 1, 2, 0), (0, 1, 3)):
+        with pytest.raises(ValueError, match="total map"):
+            validate_morphism(f, k3, k3, CLS.HOM)
 
 
 def test_class_implications_on_small_structures():
@@ -186,6 +210,14 @@ def test_pushout_in_finset():
     g = Morphism.build(one, two, (1,))
     p, _, _ = pushout(f, g)
     assert p.size == 3
+
+
+def test_pushout_refuses_legs_whose_domains_differ():
+    arc = digraph(2, {(0, 1)})
+    f = Morphism.build(no_relation(1), arc, (0,))
+    g = Morphism.build(arc, arc, (0, 1))
+    with pytest.raises(ValueError, match="pushout legs must share their domain"):
+        pushout(f, g)
 
 
 def test_pushout_commutes_and_is_universal_on_small_instances():

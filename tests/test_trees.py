@@ -59,6 +59,13 @@ def test_tree_validation():
     FiniteTree(0, ())
 
 
+def test_refused_specs_and_depths():
+    with pytest.raises(ValueError, match="child state out of range"):
+        RationalTreeSpec(("s",), ((1,),), 0)
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        truncate(RationalTreeSpec(("s",), ((0,),), 0), -1)
+
+
 def test_single_node_count():
     one = chain_tree(1)
     assert count_tree_morphisms(one, full_binary(2)) == 1
@@ -74,6 +81,8 @@ def test_empty_tree_conventions():
     assert count_tree_morphisms(empty, full_binary(1)) == 1
     assert count_tree_morphisms(empty, empty) == 1
     assert count_tree_morphisms(chain_tree(1), empty) == 0
+    assert empty.root is None
+    assert tree_from_encoding(None) == empty
 
 
 def test_counts_match_naive_enumeration():
