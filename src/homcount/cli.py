@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .cklogic import ck_profile_equal, treewidth, wl_equivalent
 from .errors import CapExceededError, HomcountError, InvariantViolationError, ParseError
@@ -25,12 +26,13 @@ from .formats import (
     write_structure,
     write_tree,
 )
-from .homsearch import count_morphisms
+from .homsearch import count_morphisms, iter_hom_maps
 from .lovasz import LEFT, RIGHT, distinguish, enumerate_structures, hom_profile
 from .profinite import continuous_hom_count, distinguish_towers, surjection_profile
 from .quotposet import quotient_poset
 from .sigstruct import (
     FactorisationSystem,
+    Morphism,
     MorphismClass,
     _representative_code,
     are_isomorphic,
@@ -267,14 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> int:
     _, c = _blocks(args.source)[0]
     _, a = _blocks(args.target)[0]
-    res = count_morphisms(c, a, MorphismClass(args.cls), FactorisationSystem(args.system),
-                          enumerate_witnesses=args.limit is not None,
-                          limit=args.limit)
-    print(res.count)
-    if res.witnesses is not None:
-        for m in res.witnesses:
-            print("map\t" + " ".join(str(y) for y in m.map))
-        if res.truncated:
+    cls, system = MorphismClass(args.cls), FactorisationSystem(args.system)
+    # The count refuses a bad signature, class or limit before anything is
+    # printed; the listed maps are then checked and printed one at a time,
+    # so no more than the current map is held.
+    total = count_morphisms(c, a, cls, system, limit=args.limit).count
+    print(total)
+    if args.limit is not None:
+        for f in islice(iter_hom_maps(c, a, cls, system), args.limit):
+            print("map\t" + " ".join(map(str, Morphism.build(c, a, f).map)))
+        if total > args.limit:
             print("truncated")
     return EXIT_OK
 

@@ -107,7 +107,7 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from operator import itemgetter
 
-from .quotposet import collapse_structure, set_partitions
+from .quotposet import collapses
 from .sigstruct import (
     SE_M,
     FactorisationSystem,
@@ -167,8 +167,10 @@ class _Record:
     masks out, at each step, the values that would.
     Each plan is compiled the first time a count reads it, so a structure
     used only as a target never pays for them.  `quotients`, the pairs (P,
-    c/P) in `set_partitions` order, serves the SE_M Moebius sum and kernel,
-    which meet c with many targets; one-off readers collapse as they go.
+    c/P) of `quotposet.collapses`, serves the SE_M Moebius sum and kernel,
+    which meet c with many targets; one-off readers (the isomorphism
+    decision, the quotient poset) read `collapses` as they go and keep
+    nothing here.
 
     As a target: `table(key)`, built the first time a search or the frontier
     DP asks for it, and `tuple_masks[n]`, for patterns of size n, the pair
@@ -203,8 +205,7 @@ class _Record:
 
     @cached_property
     def quotients(self):
-        c = self.structure
-        return tuple((p, collapse_structure(c, p)[0]) for p in set_partitions(c.size))
+        return tuple(collapses(self.structure))
 
     @cached_property
     def neighbours(self):

@@ -25,9 +25,8 @@ from .errors import cap_exceeded
 from .homsearch import _count, _search_plan, hom_count
 from .quotposet import (
     _esm_mobius,
-    collapse_structure,
+    collapses,
     partition_mobius,
-    set_partitions,
 )
 from .sigstruct import (
     SE_M,
@@ -283,8 +282,7 @@ def decide_isomorphic_by_counting(a: Structure, b: Structure) -> bool:
     _check_same_signature(a, b)
     if a.size != b.size or any(len(r) != len(s) for r, s in zip(a.relations, b.relations)):
         return False
-    for p in set_partitions(a.size):
-        test = collapse_structure(a, p)[0]
+    for _, test in collapses(a):
         if hom_count(test, a) != hom_count(test, b):
             return False
     return True

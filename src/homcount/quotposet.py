@@ -1,5 +1,11 @@
 """Set partitions, quotient posets of structures, and their Moebius function.
 
+`collapses(c)` is the one generator of c's B(n) collapses c/P: it builds
+each restricted growth string with its blocks, prefix by prefix, and reads
+the growth string as the projection, each relation's image taken column by
+column.  The quotient poset, the SE_M Moebius sum and kernel (through the
+pattern's record) and the isomorphism decision all read it.
+
 A quotient class of a structure c is keyed by the kernel partition of its
 projection together with the induced codomain (relation tuples are images of
 c's tuples).  The order is "x <= y iff x factors through y", i.e. the kernel
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 
 from .errors import cap_exceeded
 from .sigstruct import Structure, _image
@@ -26,23 +33,28 @@ Partition = tuple[tuple[int, ...], ...]
 
 
 def _growth_strings(n: int):
-    """Restricted growth strings of length n in lexicographic order: s[x] is
-    the block of element x, and each new block is numbered one above the
-    largest before it."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
+    """The list of (s, blocks) for each restricted growth string s of length
+    n, in lexicographic order: s[x] is the block of element x, each new
+    block is numbered one above the largest before it, and blocks is the
+    partition that puts x in block s[x].  Both are built prefix by prefix.
+    More than PARTITION_SIZE_CAP elements are refused."""
+    if n > PARTITION_SIZE_CAP:
+        raise cap_exceeded("PARTITION_SIZE_CAP", PARTITION_SIZE_CAP,
+                           "partition enumeration over", n, "elements")
+    level = [((), ())]
+    for x in range(n):
+        level = [extended for prefix in level for extended in _extensions(prefix, x)]
+    return level
 
-    def grow(i: int, maxval: int):
-        if i == n:
-            yield tuple(rgs)
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from grow(i + 1, max(maxval, b))
 
-    yield from grow(1, 0)
+def _extensions(prefix, x: int):
+    """The growth strings one element longer than prefix = (s, blocks), x
+    joining each block of s in turn and then a new one."""
+    s, blocks = prefix
+    k = len(blocks)
+    for b in range(k):
+        yield s + (b,), blocks[:b] + (blocks[b] + (x,),) + blocks[b + 1:]
+    yield s + (k,), blocks + ((x,),)
 
 
 def _blocks(labels) -> Partition:
@@ -62,10 +74,22 @@ def set_partitions(n: int):
 
     Blocks are sorted internally and by least element.
     """
-    if n > PARTITION_SIZE_CAP:
-        raise cap_exceeded("PARTITION_SIZE_CAP", PARTITION_SIZE_CAP,
-                           "partition enumeration over", n, "elements")
-    return map(_blocks, _growth_strings(n))
+    return map(itemgetter(1), _growth_strings(n))
+
+
+def collapses(c: Structure):
+    """(P, c/P) for each partition P of c's elements, in `set_partitions`
+    order: c/P has one element per block, numbered by least member, and the
+    images of c's tuples as relations.  The growth string of P is the
+    projection, and each relation's image is read column by column, the
+    columns taken once per call.  More than PARTITION_SIZE_CAP elements are
+    refused at the call, before the first collapse."""
+    strings = _growth_strings(c.size)
+    signature = c.signature
+    columns = [list(zip(*rel)) for rel in c.relations]
+    return ((blocks, Structure(signature, len(blocks), tuple([
+        frozenset(zip(*[map(s.__getitem__, col) for col in cols])) for cols in columns])))
+        for s, blocks in strings)
 
 
 def block_labels(partition: Partition, n: int) -> tuple[int, ...]:
@@ -213,20 +237,21 @@ def quotient_poset(c: Structure) -> QuotientPoset:
     the projection onto it is a quotient under both factorisation systems and
     the poset is the same for both; the identity class is the top element.
     """
-    partitions = tuple(set_partitions(c.size))
-    labels = [block_labels(partition, c.size) for partition in partitions]
+    classes = tuple(QuotientClass(p, q) for p, q in collapses(c))
+    labels = [s for s, _ in _growth_strings(c.size)]
     index = {s: i for i, s in enumerate(labels)}
     # The partitions coarser than p are p's blocks merged by each partition of
-    # p's block numbers; composing growth strings gives the merged one.
-    merges: dict[int, list[tuple[int, ...]]] = {}
+    # p's block numbers; composing growth strings gives the merged one.  The
+    # identity string composes to the merge itself (and for fewer than two
+    # elements itemgetter would return a bare label, not a tuple).
+    merges: dict[int, list[tuple[int, ...]]] = {c.size: labels}
     up_sets: list[list[int]] = [[] for _ in labels]
     for j, s in enumerate(labels):
         k = max(s, default=-1) + 1
         if k not in merges:
-            merges[k] = list(_growth_strings(k))
+            merges[k] = [m for m, _ in _growth_strings(k)]
+        compose = itemgetter(*s) if k < len(s) else tuple
         for m in merges[k]:
-            up_sets[index[tuple([m[b] for b in s])]].append(j)
-    classes = tuple(QuotientClass(partition, collapse_structure(c, partition)[0])
-                    for partition in partitions)
+            up_sets[index[compose(m)]].append(j)
     # the identity class is the last growth string, 0, 1, ..., n - 1
     return QuotientPoset(c, classes, FinitePoset(len(classes), up_sets), len(classes) - 1)

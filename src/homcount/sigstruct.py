@@ -98,7 +98,14 @@ class Structure:
             raise ValueError("size must be non-negative")
         if len(self.relations) != len(self.signature.symbols):
             raise ValueError("one relation per signature symbol required")
+        universe = range(self.size)
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):
+            # One C-level pass over the lengths and one over the elements; only
+            # a relation that fails it is walked tuple by tuple, so the first
+            # offending tuple and its message stay those of the walk.
+            if set(map(len, tuples)) <= {arity} and all(
+                    map(universe.__contains__, set(itertools.chain.from_iterable(tuples)))):
+                continue
             for t in tuples:
                 if len(t) != arity:
                     raise ValueError(f"tuple {t} has wrong arity for {name}/{arity}")

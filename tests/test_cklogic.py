@@ -300,22 +300,26 @@ def test_wl_distinguishes_sizes():
 
 def test_wl_monotone_refinement_on_colors():
     # Refinement partitions only get finer: once split, never merged.  Checked
-    # via the internal one-dimensional refinement rounds.
+    # via the internal one-dimensional refinement rounds, with the colours
+    # relabelled to ints after each round, as wl_equivalent does.
     from homcount.cklogic import _initial_colors_d, _refine_1
+
+    def relabel(c):
+        table = {col: i for i, col in enumerate(sorted(set(c.values())))}
+        return {x: table[col] for x, col in c.items()}
+
+    def blocks(c):
+        out = {}
+        for x, col in c.items():
+            out.setdefault(col, set()).add(x)
+        return sorted(map(sorted, out.values()))
 
     rng = random.Random(73)
     for _ in range(10):
         a = random_digraph(rng, 5, 0.4)
-        colors = {x: c for (x,), c in _initial_colors_d(a, 1).items()}
-
-        def blocks(c):
-            out = {}
-            for x, col in c.items():
-                out.setdefault(col, set()).add(x)
-            return sorted(map(sorted, out.values()))
-
+        colors = relabel({x: c for (x,), c in _initial_colors_d(a, 1).items()})
         for _ in range(6):
-            new = _refine_1(a, colors)
+            new = relabel(_refine_1(a, colors))
             old_blocks = blocks(colors)
             new_blocks = blocks(new)
             for nb in new_blocks:

@@ -1,9 +1,11 @@
+import contextlib
 import io
 import os
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,22 @@ def test_count_with_witness_limit(files, capsys):
     code, out, _ = invoke(["count", "--limit", "10", c, a], capsys)
     assert sum(1 for l in out.split("\n") if l.startswith("map\t")) == 6
     assert "truncated" not in out
+
+
+def test_count_with_a_limit_holds_one_listed_map_at_a_time(files):
+    # 20,000 listed maps, each checked as a Morphism and printed before the
+    # next is built; held together, they take over 4 MB.
+    c = files("e6.struct", "signature E/2\nstructure e6 size 6\nE:\nend\n")
+    a = files("e10.struct", "signature E/2\nstructure e10 size 10\nE:\nend\n")
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            code = run(["count", "--limit", "20000", c, a])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 def test_count_long_path_into_k2(files, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import digraph, no_relation, random_looped
+from conftest import MIXED_SIGNATURES, digraph, no_relation, random_looped, random_mixed
 from homcount import lovasz
 from homcount.errors import CapExceededError
 from homcount.homsearch import _search_plan
@@ -20,12 +20,14 @@ from homcount.quotposet import (
     FinitePoset,
     _esm_mobius,
     collapse_structure,
+    collapses,
     partition_mobius,
     quotient_poset,
     set_partitions,
 )
 from homcount.sigstruct import (
     E_SM,
+    GRAPH_SIGNATURE,
     SE_M,
     MorphismClass,
     Signature,
@@ -143,6 +145,25 @@ def test_quotient_poset_cap():
         set_partitions(9)
 
 
+def test_collapses_match_one_collapse_per_partition():
+    # `collapses` against `collapse_structure`, the one-collapse reference, in
+    # `set_partitions` order: E/2 with loops on 0-8 elements, and the mixed
+    # arities E/2,R/3 and U/1,T/3.
+    rng = random.Random(29)
+    cases = [digraph(0, set())]
+    cases += [random_looped(rng, GRAPH_SIGNATURE, n, p) for n in range(1, 9) for p in (0.2, 0.5)]
+    cases += [random_mixed(rng, signature, n)
+              for signature in MIXED_SIGNATURES for n in range(7) for _ in range(2)]
+    for c in cases:
+        assert tuple(collapses(c)) == tuple(
+            (p, collapse_structure(c, p)[0]) for p in set_partitions(c.size)), c
+
+
+def test_collapses_refuse_above_the_cap_before_the_first_item():
+    with pytest.raises(CapExceededError, match=r"partition enumeration over 9 elements"):
+        collapses(no_relation(9))
+
+
 def esm_pairs():
     """(c, a) pairs for the E_SM Moebius sum, under E/2 and under the mixed
     arity E/2,R/3: 1-4 elements, size 0 on either side, and 5-6-element
@@ -256,19 +277,20 @@ def test_mobius_sum_builds_no_poset(monkeypatch):
 
 @pytest.fixture
 def collapsed(monkeypatch):
-    """The structures collapse_structure is called on, in call order, from
-    every module of the package that imports it."""
-    collapse = sys.modules["homcount.quotposet"].collapse_structure
+    """The structure of each collapse taken from `collapses`, in the order
+    they are taken, from every module of the package that imports it."""
+    collapses = sys.modules["homcount.quotposet"].collapses
     calls = []
 
-    def spy(s, partition):
-        calls.append(s)
-        return collapse(s, partition)
+    def spy(s):
+        for item in collapses(s):
+            calls.append(s)
+            yield item
 
     for name, module in list(sys.modules.items()):
         if name.startswith("homcount."):
             for attr, value in list(vars(module).items()):
-                if value is collapse:
+                if value is collapses:
                     monkeypatch.setattr(module, attr, spy)
     return calls
 

@@ -56,6 +56,34 @@ def test_structure_validation():
         Structure(GRAPH_SIGNATURE, 2, ())
 
 
+@pytest.mark.parametrize("size, tuples, message", [
+    (2, {(0, 1), ()}, "tuple () has wrong arity for E/2"),
+    (2, {(0, 1), (0, 1, 1)}, "tuple (0, 1, 1) has wrong arity for E/2"),
+    (2, {(1, 1), (0, -1)}, "tuple (0, -1) of E out of range 0..1"),
+    (2, {(1, 1), (0, 2)}, "tuple (0, 2) of E out of range 0..1"),
+    (0, {(0, 0)}, "tuple (0, 0) of E out of range (the structure has no elements)"),
+])
+def test_structure_validation_names_the_offending_tuple(size, tuples, message):
+    with pytest.raises(ValueError) as err:
+        Structure(GRAPH_SIGNATURE, size, (frozenset(tuples),))
+    assert str(err.value) == message
+
+
+def test_structure_validation_reports_the_first_offending_tuple_in_iteration_order():
+    # A relation with a tuple of the wrong arity and one out of range, among
+    # good ones: the message is that of the first bad tuple the relation
+    # yields, as a tuple-by-tuple walk finds it.
+    signature = Signature((("U", 1), ("E", 2)))
+    for bad in ({(0, 1, 2), (0, 3)}, {(3, 0), (1,)}, {(), (-1, 0), (2, 2, 2)}):
+        rel = frozenset(bad | {(0, 1), (2, 2), (1, 0)})
+        first = next(t for t in rel if len(t) != 2 or not all(0 <= x < 3 for x in t))
+        want = (f"tuple {first} has wrong arity for E/2" if len(first) != 2
+                else f"tuple {first} of E out of range 0..2")
+        with pytest.raises(ValueError) as err:
+            Structure(signature, 3, (frozenset({(0,), (2,)}), rel))
+        assert str(err.value) == want
+
+
 def test_signature_lookups_refuse_an_unknown_name():
     assert GRAPH_SIGNATURE.arity("E") == 2 and GRAPH_SIGNATURE.index("E") == 0
     with pytest.raises(KeyError):

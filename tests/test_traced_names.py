@@ -129,6 +129,8 @@ def test_every_cache_is_emptied_or_kept_for_a_reason():
 UNREFERENCED = {
     ("homcount.lovasz", "mobius_invert_ints"):
         "the perfbench tracer patches it, and tests use it as the reference inversion",
+    ("homcount.quotposet", "collapse_structure"):
+        "the perfbench tracer patches it, and tests use it as the one-collapse reference",
     ("homcount.profinite", "enumerate_group_homs"):
         "the perfbench tracer patches it, and tests use it as the reference listing",
     ("homcount.stirling", "is_generic"):
