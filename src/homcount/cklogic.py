@@ -17,13 +17,12 @@ relies on, not something it re-proves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import cap_exceeded
 from .homsearch import hom_count
 from .lovasz import _candidate_counts, _capped_sizes, _catalogue, _structures_of_size
-from .sigstruct import Signature, Structure, _check_same_signature, _gaifman
+from .sigstruct import Signature, Structure, _check_same_signature, _Frozen, _gaifman
 from .trees import _encodings_of_size, _rooted_tree_counts, tree_from_encoding
 
 TREEWIDTH_SIZE_CAP = 10
@@ -96,11 +95,14 @@ def _treewidth_dp(a: Structure) -> tuple[int, list[int]]:
     return best[full], order
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
-    bags: tuple[frozenset[int], ...]
-    tree: tuple[tuple[int, int], ...]
-    width: int
+class TreeDecomposition(_Frozen):
+    __slots__ = ("bags", "tree", "width")
+
+    def __init__(self, bags: tuple[frozenset[int], ...], tree: tuple[tuple[int, int], ...],
+                 width: int):
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "width", width)
 
 
 def tree_decomposition(a: Structure) -> TreeDecomposition:
@@ -282,11 +284,14 @@ def wl_equivalent(a: Structure, b: Structure, k: int) -> bool:
     return sorted(col_a.values()) == sorted(col_b.values())
 
 
-@dataclass(frozen=True)
-class CkVerdict:
-    equivalent: bool
-    witness: Structure | None = None
-    counts: tuple[int, int] | None = None
+class CkVerdict(_Frozen):
+    __slots__ = ("equivalent", "witness", "counts")
+
+    def __init__(self, equivalent: bool, witness: Structure | None = None,
+                 counts: tuple[int, int] | None = None):
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "counts", counts)
 
 
 def ck_profile_equal(a: Structure, b: Structure, k: int, budget: int,

@@ -26,7 +26,7 @@ from .formats import (
     write_structure,
     write_tree,
 )
-from .homsearch import count_morphisms, iter_hom_maps
+from .homsearch import _counted_by_listing, count_morphisms, iter_hom_maps
 from .lovasz import LEFT, RIGHT, distinguish, enumerate_structures, hom_profile
 from .profinite import continuous_hom_count, distinguish_towers, surjection_profile
 from .quotposet import quotient_poset
@@ -34,6 +34,7 @@ from .sigstruct import (
     FactorisationSystem,
     Morphism,
     MorphismClass,
+    _class_rules,
     _representative_code,
     are_isomorphic,
 )
@@ -270,16 +271,25 @@ def _cmd_count(args) -> int:
     _, c = _blocks(args.source)[0]
     _, a = _blocks(args.target)[0]
     cls, system = MorphismClass(args.cls), FactorisationSystem(args.system)
+    limit = args.limit
     # The count refuses a bad signature, class or limit before anything is
-    # printed; the listed maps are then checked and printed one at a time,
-    # so no more than the current map is held.
-    total = count_morphisms(c, a, cls, system, limit=args.limit).count
+    # printed, and each listed map is checked and printed before the next is
+    # built.  A class counted by listing is listed once, keeping its first
+    # `limit` maps as raw index tuples; a limit below 1 is left to
+    # count_morphisms to refuse.
+    _, surjective, reflects = _class_rules(cls, system)
+    if limit is not None and limit >= 1 and _counted_by_listing(c, surjective, reflects):
+        maps = iter_hom_maps(c, a, cls, system)
+        listed = list(islice(maps, limit))
+        total = len(listed) + sum(1 for _ in maps)
+    else:
+        total = count_morphisms(c, a, cls, system, limit=limit).count
+        listed = () if limit is None else islice(iter_hom_maps(c, a, cls, system), limit)
     print(total)
-    if args.limit is not None:
-        for f in islice(iter_hom_maps(c, a, cls, system), args.limit):
-            print("map\t" + " ".join(map(str, Morphism.build(c, a, f).map)))
-        if total > args.limit:
-            print("truncated")
+    for f in listed:
+        print("map\t" + " ".join(map(str, Morphism.build(c, a, f).map)))
+    if limit is not None and total > limit:
+        print("truncated")
     return EXIT_OK
 
 

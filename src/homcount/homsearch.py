@@ -102,7 +102,6 @@ variable order.  Counts are plain Python integers, so they stay exact past
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from operator import itemgetter
@@ -116,6 +115,7 @@ from .sigstruct import (
     Structure,
     _check_same_signature,
     _class_rules,
+    _Frozen,
     _gaifman,
     _non_tuples,
     reflects_relations,
@@ -135,11 +135,14 @@ _FRONTIER_STATES = 1 << 20
 _SURJECTIVE_TARGET = 6
 
 
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    witnesses: tuple[Morphism, ...] | None = None
-    truncated: bool = False
+class CountResult(_Frozen):
+    __slots__ = ("count", "witnesses", "truncated")
+
+    def __init__(self, count: int, witnesses: tuple[Morphism, ...] | None = None,
+                 truncated: bool = False):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "truncated", truncated)
 
 
 class _Record:
@@ -693,12 +696,19 @@ def _maps(c: Structure, a: Structure, injective: bool, surjective: bool,
                 yield f
 
 
+def _counted_by_listing(c: Structure, surjective: bool, reflects: bool) -> bool:
+    """Does `_count` count the maps of the class with these rules by listing
+    them?  It does for size-0 patterns and for the SE_M quotients, whose
+    reflection is checked on complete maps only."""
+    return c.size == 0 or (reflects and surjective)
+
+
 def _count(c: Structure, a: Structure, injective: bool, surjective: bool,
            reflects: bool) -> int:
     """The number of maps c -> a of the class with these rules, with no
-    signature check: by listing for size-0 patterns and the SE_M quotients
-    (checked for reflection once complete), else on `_counter`'s path."""
-    if c.size == 0 or (reflects and surjective):
+    signature check: by listing where `_counted_by_listing` says so, else on
+    `_counter`'s path."""
+    if _counted_by_listing(c, surjective, reflects):
         return sum(1 for _ in _maps(c, a, injective, surjective, reflects))
     return _counter(c, a, injective, surjective)(c, a, injective, surjective, reflects)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import cap_exceeded
@@ -36,6 +35,7 @@ from .sigstruct import (
     Structure,
     _check_same_signature,
     _class_rules,
+    _Frozen,
     canonical_form,
     canonical_representative,
 )
@@ -65,20 +65,26 @@ def structure_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class HomProfile:
-    subject: Structure
-    family: tuple[Structure, ...]
-    counts: tuple[int, ...]
-    side: str
+class HomProfile(_Frozen):
+    __slots__ = ("subject", "family", "counts", "side")
+
+    def __init__(self, subject: Structure, family: tuple[Structure, ...],
+                 counts: tuple[int, ...], side: str):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "side", side)
 
 
-@dataclass(frozen=True)
-class DistinguishResult:
-    witness: object | None
-    counts: tuple[int, int] | None
-    verdict: str
-    warnings: tuple = ()
+class DistinguishResult(_Frozen):
+    __slots__ = ("witness", "counts", "verdict", "warnings")
+
+    def __init__(self, witness: object | None, counts: tuple[int, int] | None,
+                 verdict: str, warnings: tuple = ()):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "warnings", warnings)
 
     @property
     def distinguished(self) -> bool:

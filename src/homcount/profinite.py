@@ -18,24 +18,38 @@ pushing each isomorphism of their top levels down the connecting maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvariantViolationError
 from .homsearch import _count, hom_count, iter_hom_maps
 from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult
-from .sigstruct import SE_M, MorphismClass, Signature, Structure, _class_rules, is_homomorphism
+from .sigstruct import (
+    SE_M,
+    MorphismClass,
+    Signature,
+    Structure,
+    _class_rules,
+    _Frozen,
+    is_homomorphism,
+)
 
 _GROUP_SIGNATURE = Signature((("M", 3),))
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """Cayley-table presentation on 0..order-1; verified at construction."""
+class FiniteGroup(_Frozen):
+    """Cayley-table presentation on 0..order-1; verified at construction.
+    The name is a label: equality and hash ignore it."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    name: str = field(default="", compare=False)
+    __slots__ = ("order", "table", "name")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], name: str = ""):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "name", name)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return self.order, self.table
 
     def __post_init__(self):
         n = self.order
@@ -82,11 +96,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
                        name or f"{g.name or 'G'}x{h.name or 'H'}")
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    map: tuple[int, ...]
+class GroupHom(_Frozen):
+    __slots__ = ("domain", "codomain", "map")
+
+    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, map: tuple[int, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self):
         if not is_group_hom(self.map, self.domain, self.codomain):
@@ -123,14 +140,21 @@ def count_group_homs(g: FiniteGroup, c: FiniteGroup) -> int:
     return hom_count(_as_structure(g), _as_structure(c))
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(_Frozen):
     """Levels G_0, ..., G_d with verified surjective connecting maps
-    G_{i+1} -> G_i."""
+    G_{i+1} -> G_i.  The name is a label: equality and hash ignore it."""
 
-    levels: tuple[FiniteGroup, ...]
-    connecting: tuple[GroupHom, ...]
-    name: str = field(default="", compare=False)
+    __slots__ = ("levels", "connecting", "name")
+
+    def __init__(self, levels: tuple[FiniteGroup, ...], connecting: tuple[GroupHom, ...],
+                 name: str = ""):
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "connecting", connecting)
+        object.__setattr__(self, "name", name)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return self.levels, self.connecting
 
     def __post_init__(self):
         if not self.levels:

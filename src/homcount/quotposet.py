@@ -20,12 +20,11 @@ from the classes where it is not 0.  Exact integer arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from operator import itemgetter
 
 from .errors import cap_exceeded
-from .sigstruct import Structure, _image
+from .sigstruct import Structure, _Frozen, _image
 
 PARTITION_SIZE_CAP = 8
 
@@ -209,10 +208,20 @@ def _esm_mobius(keys, top) -> list[int]:
     return mu
 
 
-@dataclass(frozen=True)
-class QuotientClass:
-    partition: Partition
-    codomain: Structure
+class QuotientClass(_Frozen):
+    __slots__ = ("partition", "codomain")
+
+    def __init__(self, partition: Partition, codomain: Structure):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "codomain", codomain)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.partition, self.codomain) == (other.partition, other.codomain)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.partition, self.codomain))
 
 
 class QuotientPoset:

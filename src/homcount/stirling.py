@@ -42,7 +42,6 @@ hom-sets are listed, and each homomorphism is tested on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product
 
@@ -64,6 +63,7 @@ from .sigstruct import (
     Structure,
     _check_same_signature,
     _class_rules,
+    _Frozen,
     _non_tuples,
 )
 
@@ -177,21 +177,26 @@ def _generic_count_cached(m: Structure, a: Structure,
     return generic_count(m, a, system)
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    partition: Partition
-    codomain: Structure
-    generic: int
+class DecompositionRow(_Frozen):
+    __slots__ = ("partition", "codomain", "generic")
+
+    def __init__(self, partition: Partition, codomain: Structure, generic: int):
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "generic", generic)
 
 
-@dataclass(frozen=True)
-class KernelDecomposition:
-    source: Structure
-    target: Structure
-    system: FactorisationSystem
-    rows: tuple[DecompositionRow, ...]
-    total: int
-    homcount: int
+class KernelDecomposition(_Frozen):
+    __slots__ = ("source", "target", "system", "rows", "total", "homcount")
+
+    def __init__(self, source: Structure, target: Structure, system: FactorisationSystem,
+                 rows: tuple[DecompositionRow, ...], total: int, homcount: int):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "homcount", homcount)
 
 
 def _realized_quotients(c: Structure, a: Structure):

@@ -14,21 +14,24 @@ truncations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import cap_exceeded
 from .lovasz import DISTINGUISHED, PROFILES_EQUAL, DistinguishResult, _capped_sizes
+from .sigstruct import _Frozen
 
 TRUNCATION_NODE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class FiniteTree:
+class FiniteTree(_Frozen):
     """Rooted tree on nodes 0..size-1: parent[v] for non-roots, -1 at the root."""
 
-    size: int
-    parent: tuple[int, ...]
+    __slots__ = ("size", "parent")
+
+    def __init__(self, size: int, parent: tuple[int, ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "parent", parent)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.size < 0 or len(self.parent) != self.size:
@@ -110,14 +113,18 @@ def count_tree_morphisms(r: FiniteTree, p: FiniteTree) -> int:
     return ways[r.root][p.root]
 
 
-@dataclass(frozen=True)
-class RationalTreeSpec:
+class RationalTreeSpec(_Frozen):
     """Finite presentation of a finitely branching (possibly infinite) tree:
     per state an ordered list of child states, unfolded from `start`."""
 
-    states: tuple[str, ...]
-    children: tuple[tuple[int, ...], ...]
-    start: int
+    __slots__ = ("states", "children", "start")
+
+    def __init__(self, states: tuple[str, ...], children: tuple[tuple[int, ...], ...],
+                 start: int):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "start", start)
+        self.__post_init__()
 
     def __post_init__(self):
         if not 0 <= self.start < len(self.states):

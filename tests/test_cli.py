@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import homcount.cli
+import homcount.homsearch
 import homcount.profinite
 import homcount.selftest
 import homcount.stirling
@@ -133,6 +134,30 @@ def test_count_with_a_limit_holds_one_listed_map_at_a_time(files):
             tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--class", "quotient", "--limit", "3", "c4", "a2"],
+     "4\nmap\t0 1 0 0\nmap\t0 1 0 1\nmap\t0 1 1 0\ntruncated\n"),
+    (["--class", "quotient", "--limit", "10", "c4", "a2"],
+     "4\nmap\t0 1 0 0\nmap\t0 1 0 1\nmap\t0 1 1 0\nmap\t0 1 1 1\n"),
+    (["--limit", "1", "e0", "a2"], "1\nmap\t\n"),
+    (["--class", "surjection", "--limit", "2", "e0", "a2"], "0\n"),
+])
+def test_count_with_a_limit_lists_a_class_counted_by_listing_once(
+        files, capsys, monkeypatch, argv, expected):
+    # SE_M quotients and size-0 patterns are counted by listing their maps,
+    # so the listing that counts them also gives the maps printed
+    paths = {"c4": files("c4.struct", "signature E/2\nstructure c size 4\nE: (0,1)\nend\n"),
+             "a2": files("a2.struct", "signature E/2\nstructure a size 2\nE: (0,1)\nend\n"),
+             "e0": files("e0.struct", "signature E/2\nstructure e size 0\nE:\nend\n")}
+    listings = []
+    maps = homcount.homsearch._maps
+    monkeypatch.setattr(homcount.homsearch, "_maps",
+                        lambda *args: listings.append(args) or maps(*args))
+    code, out, err = invoke(["count"] + [paths.get(arg, arg) for arg in argv], capsys)
+    assert (code, out, err) == (0, expected, "")
+    assert len(listings) == 1
 
 
 def test_count_long_path_into_k2(files, capsys):
