@@ -92,7 +92,8 @@ chooses the path, from the sizes and the pattern's frontier width:
 * The search, for every other count: the injective classes, surjective
   counts into larger targets, larger or wider patterns.  Witness listing,
   `iter_hom_maps` and the SE_M quotients always take it; a listing cut at
-  its limit takes its total from `_count`.
+  its limit takes its total from `_count`, or from the rest of the listing
+  for a class that `_count` counts by listing.
 
 Maps are listed in lexicographic order of their values along the search's
 variable order.  Counts are plain Python integers, so they stay exact past
@@ -728,12 +729,15 @@ def count_morphisms(
     rules = _class_rules(cls, system)
     if not enumerate_witnesses:
         return CountResult(_count(c, a, *rules))
-    # One map past the limit tells a truncated listing, whose total is counted.
-    listed = list(islice(_maps(c, a, *rules), None if limit is None else limit + 1))
+    # One map past the limit tells a truncated listing.  Its total is counted,
+    # or, for a class counted by listing, read off the rest of the listing.
+    maps = _maps(c, a, *rules)
+    listed = list(islice(maps, None if limit is None else limit + 1))
     truncated = limit is not None and len(listed) > limit
     witnesses = tuple(Morphism.build(c, a, f) for f in listed[:limit])
-    return CountResult(_count(c, a, *rules) if truncated else len(listed),
-                       witnesses, truncated)
+    if truncated and not _counted_by_listing(c, *rules[1:]):
+        return CountResult(_count(c, a, *rules), witnesses, truncated)
+    return CountResult(len(listed) + sum(1 for _ in maps), witnesses, truncated)
 
 
 def iter_hom_maps(c: Structure, a: Structure, cls: MorphismClass = MorphismClass.HOM,

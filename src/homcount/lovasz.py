@@ -169,17 +169,18 @@ def _structures_of_size(signature: Signature, n: int, *,
                       for s, slot in slots])
         for perm in itertools.permutations(range(n))
     ]
-    width = (len(slots) + 7) // 8
+    # Per byte of a mask, its table under each permutation.  A permutation moves
+    # distinct slots to distinct slots, so the sum of the bytes' images is the mask's.
+    byte_tables = list(zip(*perm_tables))
+    width = len(byte_tables)
     seen = bytearray(1 << len(slots))
     reps = []
     mask = seen.find(0)
     while mask >= 0:
         reps.append(mask)
         parts = mask.to_bytes(width, "little")
-        for tables in perm_tables:
-            image = 0
-            for table, part in zip(tables, parts):
-                image |= table[part]
+        for image in map(sum, zip(*[[table[part] for table in tables]
+                                    for tables, part in zip(byte_tables, parts)])):
             seen[image] = 1
         mask = seen.find(0, mask + 1)
 

@@ -374,73 +374,65 @@ def pushout(f: Morphism, g: Morphism):
     return p, into_a, into_b
 
 
-def _element_profile(a: Structure, x: int):
-    """Permutation-invariant local profile of x: per symbol and position, how
-    often x occurs there, plus its count of constant (all-x) tuples."""
-    prof = []
-    for rel in a.relations:
-        counts = {}
-        diag = 0
-        for t in rel:
-            for j, y in enumerate(t):
-                if y == x:
-                    counts[j] = counts.get(j, 0) + 1
-            if all(y == x for y in t):
-                diag += 1
-        prof.append((tuple(sorted(counts.items())), diag))
-    return tuple(prof)
+def _element_profiles(a: Structure, columns) -> list[tuple]:
+    """For each element x, its permutation-invariant local profile: per
+    symbol, the (position, count) pairs of the positions where x occurs,
+    with how often it occurs there, and its count of constant (all-x)
+    tuples, at most one in a set.  `columns` holds each relation's tuples
+    transposed, so each count is a C-level `count` of a column."""
+    elements = range(a.size)
+    profiles = [()] * a.size
+    for (_, arity), rel, cols in zip(a.signature.symbols, a.relations, columns):
+        at = zip(*[map(col.count, elements) for col in cols]) if cols else itertools.repeat(())
+        profiles = [p + ((tuple(itertools.compress(enumerate(row), row)),
+                          int((x,) * arity in rel)),)
+                    for x, p, row in zip(elements, profiles, at)]
+    return profiles
 
 
-def _candidate_permutations(a: Structure):
-    """Permutations that respect the profile classes: elements of each class
-    may only be sent to that class's designated block of positions.  Minimising
-    over these is exact because profiles are isomorphism-invariant."""
+def _candidate_permutations(a: Structure, columns):
+    """Permutations, as dicts from element to position, that respect the
+    profile classes: elements of each class may only be sent to that class's
+    designated block of positions.  Minimising over these is exact because
+    profiles are isomorphism-invariant."""
     classes = {}
-    for x in range(a.size):
-        classes.setdefault(_element_profile(a, x), []).append(x)
-    ordered = [classes[k] for k in sorted(classes.keys())]
-    positions = []
-    start = 0
-    for members in ordered:
-        positions.append(range(start, start + len(members)))
-        start += len(members)
-    for assignment in itertools.product(
-        *(itertools.permutations(pos) for pos in positions)
-    ):
-        perm = [0] * a.size
-        for members, images in zip(ordered, assignment):
-            for x, y in zip(members, images):
-                perm[x] = y
-        yield perm
+    for x, profile in enumerate(_element_profiles(a, columns)):
+        classes.setdefault(profile, []).append(x)
+    ordered = [classes[k] for k in sorted(classes)]
+    ends = itertools.accumulate(map(len, ordered))
+    blocks = [itertools.permutations(range(end - len(cls), end))
+              for cls, end in zip(ordered, ends)]
+    members = list(itertools.chain.from_iterable(ordered))
+    for assignment in itertools.product(*blocks):
+        yield dict(zip(members, itertools.chain.from_iterable(assignment)))
 
 
 def _serialize(signature: Signature, size: int, sorted_rels) -> bytes:
     parts = [str(size)]
     for (name, arity), tuples in zip(signature.symbols, sorted_rels):
-        body = ",".join(".".join(str(x) for x in t) for t in tuples)
+        body = ",".join([".".join(map(str, t)) for t in tuples])
         parts.append(f"{name}/{arity}:{body}")
     return "|".join(parts).encode("ascii")
 
 
 @lru_cache(maxsize=65536)
 def _canonical(a: Structure):
+    """a's relations, each sorted, under the candidate permutation that
+    makes them least.  One pass over each relation turns it into columns,
+    which give every profile and which each candidate relabels."""
     if a.size > CANON_SIZE_CAP:
         raise cap_exceeded("CANON_SIZE_CAP", CANON_SIZE_CAP, "canonicalization of",
                            a.size, "elements")
-    best = None
-    for perm in _candidate_permutations(a):
-        rels = tuple(
-            tuple(sorted(tuple(perm[x] for x in t) for t in rel))
-            for rel in a.relations
-        )
-        if best is None or rels < best:
-            best = rels
-    return best
+    columns = [tuple(zip(*rel)) for rel in a.relations]
+    return min(tuple(tuple(sorted(zip(*[map(perm.__getitem__, col) for col in cols])))
+                     for cols in columns)
+               for perm in _candidate_permutations(a, columns))
 
 
 def canonical_form(a: Structure) -> bytes:
     """Canonical code: equal codes iff isomorphic.  Brute force over
-    profile-pruned permutations; intended for size <= 8."""
+    profile-pruned permutations, every element's profile read off one pass
+    over the tuples; intended for size <= 8."""
     return _serialize(a.signature, a.size, _canonical(a))
 
 

@@ -7,7 +7,7 @@ the pruned search paths it is used to check.
 import itertools
 
 from homcount.lovasz import _catalogue
-from homcount.sigstruct import E_SM, SE_M, Morphism, MorphismClass, Structure
+from homcount.sigstruct import E_SM, SE_M, Morphism, MorphismClass, Signature, Structure
 
 
 def all_maps(c, a):
@@ -337,3 +337,77 @@ def filter_first_tw_lt_k(signature, k, max_size, undirected=False):
                 seen.setdefault(canonical_form(s), canonical_representative(s))
         out.extend(sorted(seen.values(), key=lambda s: (-s.total_tuples(), canonical_form(s))))
     return tuple(out)
+
+
+# The reference canonical form: `sigstruct`'s profile-pruned permutation
+# search as it was written tuple by tuple, copied verbatim apart from the
+# `lru_cache` and the size cap on `_canonical`.  The library's codes must
+# equal these byte for byte, since catalogue order and printed witnesses
+# follow them.
+
+
+def _element_profile(a: Structure, x: int):
+    """Permutation-invariant local profile of x: per symbol and position, how
+    often x occurs there, plus its count of constant (all-x) tuples."""
+    prof = []
+    for rel in a.relations:
+        counts = {}
+        diag = 0
+        for t in rel:
+            for j, y in enumerate(t):
+                if y == x:
+                    counts[j] = counts.get(j, 0) + 1
+            if all(y == x for y in t):
+                diag += 1
+        prof.append((tuple(sorted(counts.items())), diag))
+    return tuple(prof)
+
+
+def _candidate_permutations(a: Structure):
+    """Permutations that respect the profile classes: elements of each class
+    may only be sent to that class's designated block of positions.  Minimising
+    over these is exact because profiles are isomorphism-invariant."""
+    classes = {}
+    for x in range(a.size):
+        classes.setdefault(_element_profile(a, x), []).append(x)
+    ordered = [classes[k] for k in sorted(classes.keys())]
+    positions = []
+    start = 0
+    for members in ordered:
+        positions.append(range(start, start + len(members)))
+        start += len(members)
+    for assignment in itertools.product(
+        *(itertools.permutations(pos) for pos in positions)
+    ):
+        perm = [0] * a.size
+        for members, images in zip(ordered, assignment):
+            for x, y in zip(members, images):
+                perm[x] = y
+        yield perm
+
+
+def _serialize(signature: Signature, size: int, sorted_rels) -> bytes:
+    parts = [str(size)]
+    for (name, arity), tuples in zip(signature.symbols, sorted_rels):
+        body = ",".join(".".join(str(x) for x in t) for t in tuples)
+        parts.append(f"{name}/{arity}:{body}")
+    return "|".join(parts).encode("ascii")
+
+
+def _canonical(a: Structure):
+    best = None
+    for perm in _candidate_permutations(a):
+        rels = tuple(
+            tuple(sorted(tuple(perm[x] for x in t) for t in rel))
+            for rel in a.relations
+        )
+        if best is None or rels < best:
+            best = rels
+    return best
+
+
+def reference_canonical(a):
+    """The reference code of a and its canonical representative."""
+    rels = _canonical(a)
+    return (_serialize(a.signature, a.size, rels),
+            Structure(a.signature, a.size, tuple(frozenset(r) for r in rels)))

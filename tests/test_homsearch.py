@@ -154,7 +154,8 @@ def test_enumeration_limit_flags_truncation(k3):
 
 def test_a_truncated_listing_counts_its_total(monkeypatch):
     # The listing stops one map past the limit, and the total of a truncated
-    # listing is counted, not listed.
+    # listing is counted, not listed.  (The one class here counted by listing,
+    # SE_M quotients, has no maps, so its listing is never truncated.)
     pulled = []
     real_maps = homsearch._maps
 
@@ -189,6 +190,21 @@ def test_a_truncated_listing_counts_its_total(monkeypatch):
     res = count_morphisms(path_sym(9), complete_sym(6), enumerate_witnesses=True, limit=3)
     assert (res.count, len(res.witnesses), res.truncated) == (6 * 5 ** 8, 3, True)
     assert pulled == [4]
+
+
+def test_a_truncated_listing_of_a_class_counted_by_listing_goes_on_with_that_listing(
+        monkeypatch):
+    # SE_M quotients are counted by listing them, so the listing that gives
+    # the witnesses also gives the total of a truncated one
+    c, a = digraph(4, {(0, 1)}), digraph(2, {(0, 1)})
+    listings = []
+    maps = homsearch._maps
+    monkeypatch.setattr(homsearch, "_maps", lambda *args: listings.append(args) or maps(*args))
+    res = count_morphisms(c, a, CLS.QUOTIENT, SE_M, enumerate_witnesses=True, limit=1)
+    assert len(listings) == 1
+    assert res.count == naive_count(c, a, CLS.QUOTIENT, SE_M) == 4
+    assert res.truncated
+    assert [m.map for m in res.witnesses] == [(0, 1, 0, 0)]
 
 
 def test_limit_must_be_positive(k3):

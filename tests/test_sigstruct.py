@@ -1,8 +1,17 @@
+import hashlib
 import itertools
 
 import pytest
 
-from conftest import complete_sym, cycle_sym, digraph, mixed_cases, no_relation, path_sym
+from conftest import (
+    complete_sym,
+    cycle_sym,
+    digraph,
+    mixed_cases,
+    no_relation,
+    path_sym,
+    random_mixed,
+)
 from homcount.errors import CapExceededError, SignatureMismatchError
 from homcount.lovasz import _structures_of_size
 from homcount.sigstruct import (
@@ -24,7 +33,13 @@ from homcount.sigstruct import (
     pushout,
     validate_morphism,
 )
-from oracles import brute_isomorphic, gaifman_edges, identity_morphism, naive_count
+from oracles import (
+    brute_isomorphic,
+    gaifman_edges,
+    identity_morphism,
+    naive_count,
+    reference_canonical,
+)
 
 CLS = MorphismClass
 
@@ -377,6 +392,32 @@ def test_a_representative_reads_its_code_off_its_own_labelling():
     assert sum(map(len, levels)) == 2 + 10 + 104 + 3044 + 1 + 2 + 4 + 11 + 34
     for rep in itertools.chain.from_iterable(levels):
         assert _representative_code(rep) == canonical_form(rep), rep
+
+
+def test_canonical_codes_equal_the_reference_byte_for_byte():
+    # The catalogue's order and every printed witness follow the codes, so
+    # the search must find the reference's minimum, not just some invariant.
+    import random
+
+    rng = random.Random(31)
+    binary = [_structures_of_size(GRAPH_SIGNATURE, n) for n in range(1, 5)]
+    undirected = [_structures_of_size(GRAPH_SIGNATURE, n, undirected=True)
+                  for n in range(1, 7)]
+    cases = []
+    for rep in itertools.chain.from_iterable(binary + undirected):
+        cases.append(rep)
+        for _ in range(3):
+            perm = rng.sample(range(rep.size), rep.size)
+            cases.append(Structure(rep.signature, rep.size, tuple(
+                frozenset(tuple(perm[x] for x in t) for t in rel) for rel in rep.relations)))
+    mixed = Signature((("E", 2), ("R", 3), ("U", 1)))
+    cases += [random_mixed(rng, mixed, rng.randrange(8)) for _ in range(2000)]
+    assert len(cases) == 4 * (3160 + 208) + 2000
+    for s in cases:
+        assert (canonical_form(s), canonical_representative(s)) == reference_canonical(s), s
+    codes = b"\n".join(map(canonical_form, binary[3]))
+    assert hashlib.sha256(codes).hexdigest() == (
+        "3016009c86a64eefa76f1ce56c7e2b3821f36ecb98197d5b9c180edf106c7cc3")
 
 
 def test_canonical_form_congruence_for_disjoint_union():
