@@ -230,14 +230,17 @@ def parse_groups_and_towers(text: str):
         connect 0 1 0 1
         end
 
-    Returns (groups, towers) as ordered name dicts."""
+    Returns (groups, towers) as ordered name dicts; a name defined twice
+    is an error."""
     groups: dict[str, FiniteGroup] = {}
     towers: dict[str, Tower] = {}
     tokens = _Tokens(text)
     while tokens:
         tok, lineno = tokens.need("'group' or 'tower'")
         if tok == "group":
-            name, _ = tokens.need("group name")
+            name, line = tokens.need("group name")
+            if name in groups:
+                raise ParseError(f"duplicate group name {name!r}", line)
             tokens.keyword("order")
             order = tokens.integer("order")
             tokens.keyword("table")
@@ -254,7 +257,9 @@ def parse_groups_and_towers(text: str):
                 rows.pop()
             groups[name] = _built(FiniteGroup, lineno, order, tuple(map(tuple, rows)), name)
         elif tok == "tower":
-            name, _ = tokens.need("tower name")
+            name, line = tokens.need("tower name")
+            if name in towers:
+                raise ParseError(f"duplicate tower name {name!r}", line)
             tokens.keyword("levels")
             level_names = []
             while True:

@@ -215,14 +215,6 @@ class QuotientClass(_Frozen):
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "codomain", codomain)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.partition, self.codomain) == (other.partition, other.codomain)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.partition, self.codomain))
-
 
 class QuotientPoset:
     """Q(c): one class per kernel partition, ordered by factorization."""

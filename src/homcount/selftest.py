@@ -91,20 +91,16 @@ def full_acceptance() -> bool:
 
 
 class CriterionResult(_Frozen):
-    """One criterion's outcome.  Unlike the package's other records it can
-    be assigned to, and it is not hashable."""
+    """One criterion's outcome."""
 
     __slots__ = ("number", "name", "passed", "detail", "seconds")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, number: int, name: str, passed: bool, detail: str, seconds: float):
-        self.number = number
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.seconds = seconds
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "seconds", seconds)
 
 
 def _refine_to_singletons(classes, tests, side):

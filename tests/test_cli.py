@@ -579,6 +579,10 @@ def test_parse_error_exit_2(files, capsys):
         (["tower", "count", "FILE"], "group Z2 order 2 table\n0 1 / 1 1\nend\n", 1),
         (["tower", "count", "FILE"],
          "group Z2 order 2 table 0 1 / 1 0 end\ntower T levels Z2\nZ3 end\n", 3),
+        (["tower", "surjections", "--family", "FILE"],
+         "group A order 1 table 0 end\ngroup A order 2 table 0 1 / 1 0 end\n", 2),
+        (["tower", "count", "FILE"],
+         "group G order 1 table 0 end\ntower T levels G end\ntower T levels G end\n", 3),
     ]
     for argv, text, line in cases:
         bad = files("bad.txt", text)

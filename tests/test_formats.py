@@ -284,6 +284,8 @@ REJECTIONS = {
         (parse_groups_and_towers, "group Z2 order 2 table\n0 1 / 1 1 end", 1),
     "groups: unexpected end of input":
         (parse_groups_and_towers, "group Z2 order 2 table 0 1\n/ 1 0\n", 2),
+    "groups: duplicate group name":
+        (parse_groups_and_towers, "group A order 1 table 0 end\n\ngroup A\norder 1 table 0 end\n", 3),
     "towers: expected levels":
         (parse_groups_and_towers, _Z2 + "tower T\nlevel Z2 end\n", 3),
     "towers: unknown level":
@@ -308,6 +310,8 @@ REJECTIONS = {
         (parse_groups_and_towers, _Z2 + "tower T levels nope\n", 2),
     "towers: level list runs to end of input":
         (parse_groups_and_towers, _Z2 + "tower T levels Z2\nZ2\n", 3),
+    "towers: duplicate tower name":
+        (parse_groups_and_towers, _Z2 + "tower T levels Z2 end\ntower T levels Z2 end\n", 3),
 }
 
 

@@ -99,12 +99,8 @@ def test_equality_and_hash_over_the_compared_fields(cls, fields, defaults, ignor
     assert record != cls(**{**fields, **other})
     for name in ignored:
         assert record == cls(**{**fields, name: "another label"})
-    if cls is CriterionResult:  # mutable, so not hashable
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(record) == hash(compared)
-        assert hash(record) == hash(cls(**{**fields, **dict.fromkeys(ignored, "x")}))
+    assert hash(record) == hash(compared)
+    assert hash(record) == hash(cls(**{**fields, **dict.fromkeys(ignored, "x")}))
     # a record never equals an instance of another class with the same fields
     other_cls = type("Other", (cls,), {"__slots__": ()})
     assert record != other_cls(**fields)
@@ -115,10 +111,6 @@ def test_equality_and_hash_over_the_compared_fields(cls, fields, defaults, ignor
 @pytest.mark.parametrize("cls, fields, defaults, ignored, other", RECORDS, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(cls, fields, defaults, ignored, other):
     record = cls(**fields)
-    if cls is CriterionResult:  # the one record that stays mutable
-        record.passed = False
-        assert record.passed is False
-        return
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
