@@ -238,7 +238,9 @@ class _Record:
         """Admissible values of the variable at the positions the key names,
         as a bitmask: one int when there are no other positions, a tuple by
         the value at the one other position, else a dict by the tuple of
-        values at the other positions (absent key: no value)."""
+        values at the other positions (absent key: no value).  A key of one
+        position takes every tuple of the relation; one of several takes
+        the tuples whose values agree at all of them."""
         tab = self._index.get(key)
         if tab is None:
             vmask, sym = divmod(key, len(self.structure.relations))
@@ -246,8 +248,9 @@ class _Record:
             vpos = [i for i in range(arity) if vmask >> i & 1]
             rest = [i for i in range(arity) if not vmask >> i & 1]
             p = vpos[0]
-            fits = [u for u in self.structure.relations[sym]
-                    if all(u[q] == u[p] for q in vpos)]
+            fits = self.structure.relations[sym]
+            if len(vpos) > 1:
+                fits = [u for u in fits if all(u[q] == u[p] for q in vpos)]
             if not rest:
                 tab = 0
                 for u in fits:
@@ -463,7 +466,9 @@ def _bind(steps, a: Structure, absent=None):
     getter, mask of a missing key)]).  `absent`, a plan of non-tuples in the
     same form, adds the complements of its tables, which mask out the values
     that send a non-tuple into a's relation; a missing dict key forbids no
-    value.  None when some step's static tuples admit no value."""
+    value.  Each step binds each distinct (tuple table, address) once: a
+    symmetric pattern's (x, v) and (v, x) read equal tables in a symmetric
+    target.  None when some step's static tuples admit no value."""
     table = _search_plan(a).table
     full = (1 << a.size) - 1
     flipped = {}  # key -> the complement of its table
@@ -494,7 +499,7 @@ def _bind(steps, a: Structure, absent=None):
             manys += [(flip(key), get, -1) for key, get in more]
         if not base:
             return None
-        bound.append((base, ones, manys))
+        bound.append((base, list(dict.fromkeys(ones)), manys))
     return bound
 
 

@@ -572,6 +572,87 @@ def test_table_and_backtracking_paths_agree(monkeypatch):
     assert any(by_rule)
 
 
+def _undirected(rng, n, p, loops=0.0):
+    """A random symmetric E/2 structure on n elements: each edge with
+    probability p, each loop with probability `loops`."""
+    arcs = {(i, j) for i in range(n) for j in range(i, n)
+            if rng.random() < (p if i != j else loops)}
+    return digraph(n, arcs | {(j, i) for i, j in arcs})
+
+
+def _forced_path_cases():
+    """(pattern, target) pairs for the forced paths: undirected patterns
+    (cycles, paths, K4, a diamond with a pendant), each also with a loop,
+    into undirected targets of 0 to 8 elements and into digraphs of 0 to 5,
+    at most 8^4 maps each for the oracle's sake; and E/2,R/3 patterns whose
+    ternary tuples repeat a variable, into random targets of 0 to 5
+    elements."""
+    rng = random.Random("forced paths")
+    diamond = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)}
+    patterns = [cycle_sym(3), cycle_sym(4), cycle_sym(5), path_sym(3), path_sym(4),
+                complete_sym(4), digraph(5, diamond | {(j, i) for i, j in diamond})]
+    patterns += [_with_loops(rng, c) for c in patterns]
+    targets = [_undirected(rng, m, 0.5) for m in range(9)]
+    targets += [_undirected(rng, m, 0.5, loops=0.3) for m in range(1, 6)]
+    targets += [random_digraph(rng, m) for m in range(6)]
+    pairs = [(c, a) for c in patterns for a in targets if a.size ** c.size <= 8 ** 4]
+    # Each of (0, 1, 0) and (1, 0, 1) repeats a variable, so whichever of 0
+    # and 1 is bound later repeats in one of them.
+    ternary = [Structure.build(BINARY_TERNARY, n, {"E": arcs, "R": {(0, 1, 0), (1, 0, 1)} | more})
+               for n, arcs, more in ((2, set(), set()), (3, {(0, 2)}, {(2, 2, 1)}),
+                                     (4, {(2, 3), (3, 2)}, {(0, 3, 3), (3, 1, 2)}))]
+    pairs += [(c, random_structure(rng, BINARY_TERNARY, m, 0.3)) for c in ternary
+              for m in range(6)]
+    return pairs
+
+
+def test_forced_paths_on_undirected_inputs_match_naive_oracle(monkeypatch):
+    # Symmetric patterns read equal tables for (x, v) and (v, x) in a
+    # symmetric target, which each step binds once; ternary tuples that
+    # repeat the step's variable keep only the target tuples that agree.
+    pairs = _forced_path_cases()
+    nsym = len(BINARY_TERNARY.symbols)
+    assert any(bin(key // nsym).count("1") > 1
+               for c, _ in pairs if c.signature == BINARY_TERNARY
+               for _, ones, _ in _search_plan(c).steps for key, _ in ones)
+    cases = [(c, a, cls, system) for c, a in pairs for cls in CLS for system in (SE_M, E_SM)]
+    expected = [naive_count(*case) for case in cases]
+    calls = spy_paths(monkeypatch)
+    for name in COUNTING_PATHS:
+        force_path(monkeypatch, name)
+        calls.update(dict.fromkeys(COUNTING_PATHS, 0))
+        for case, n in zip(cases, expected):
+            if name != "_frontier_count" or case[2:] in FRONTIER_CLASSES:
+                assert count_morphisms(*case).count == n, (name, case)
+        assert calls[name] > 0
+    assert any(expected)
+
+
+def test_each_step_binds_each_distinct_table_once():
+    # C4's order binds each vertex after some of its neighbours.  Into an
+    # undirected target the tables of (x, v) and (v, x) are equal, and the
+    # step binds one; into a digraph whose relation is not symmetric they
+    # differ, and it binds both.  Under strong mono the complements of the
+    # tables of the non-edges are deduplicated the same way.
+    c = cycle_sym(4)
+    plan = _search_plan(c)
+    order = plan.order
+    earlier = [[x for x in order[:s] if (x, v) in c.relations[0]] for s, v in enumerate(order)]
+    assert any(earlier)
+    rng = random.Random("bound steps")
+    undirected = _undirected(rng, 6, 0.5)
+    arcs = {(i, j) for i in range(6) for j in range(6) if i != j and rng.random() < 0.4}
+    arcs.add((0, 1))
+    arcs.discard((1, 0))
+    directed = digraph(6, arcs)
+    for a, copies in ((undirected, 1), (directed, 2)):
+        bound = homsearch._bind(plan.steps, a)
+        assert [len(ones) for _, ones, _ in bound] == [copies * len(e) for e in earlier]
+        # with the non-edges' complements: one table per earlier vertex
+        bound = homsearch._bind(plan.steps, a, plan.absent)
+        assert [len(ones) for _, ones, _ in bound] == [copies * s for s in range(c.size)]
+
+
 def _frontier_pairs():
     """(pattern, target) pairs for the frontier DP against the oracle, with
     random targets of sizes 0 to 5: every binary catalogue class with at
