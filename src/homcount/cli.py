@@ -272,19 +272,22 @@ def _cmd_count(args) -> int:
     _, a = _blocks(args.target)[0]
     cls, system = MorphismClass(args.cls), FactorisationSystem(args.system)
     limit = args.limit
-    # The count refuses a bad signature, class or limit before anything is
-    # printed, and each listed map is checked and printed before the next is
-    # built.  A class counted by listing is listed once, keeping its first
-    # `limit` maps as raw index tuples; a limit below 1 is left to
-    # count_morphisms to refuse.
+    # The count refuses a limit below 1, then a bad signature or class, before
+    # anything is printed, and each listed map is checked and printed before
+    # the next is built.  A class counted by listing is listed once, keeping
+    # its first `limit` maps as raw index tuples.  No listing holds more than
+    # sys.maxsize maps, so a larger limit cuts none.
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1 when given")
+    stop = None if limit is None else min(limit, sys.maxsize)
     _, surjective, reflects = _class_rules(cls, system)
-    if limit is not None and limit >= 1 and _counted_by_listing(c, surjective, reflects):
+    if limit is not None and _counted_by_listing(c, surjective, reflects):
         maps = iter_hom_maps(c, a, cls, system)
-        listed = list(islice(maps, limit))
+        listed = list(islice(maps, stop))
         total = len(listed) + sum(1 for _ in maps)
     else:
-        total = count_morphisms(c, a, cls, system, limit=limit).count
-        listed = () if limit is None else islice(iter_hom_maps(c, a, cls, system), limit)
+        total = count_morphisms(c, a, cls, system).count
+        listed = () if limit is None else islice(iter_hom_maps(c, a, cls, system), stop)
     print(total)
     for f in listed:
         print("map\t" + " ".join(map(str, Morphism.build(c, a, f).map)))

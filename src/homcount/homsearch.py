@@ -91,9 +91,10 @@ chooses the path, from the sizes and the pattern's frontier width:
   path into K2 in 5 ms), so larger patterns stay on the search.
 * The search, for every other count: the injective classes, surjective
   counts into larger targets, larger or wider patterns.  Witness listing,
-  `iter_hom_maps` and the SE_M quotients always take it; a listing cut at
-  its limit takes its total from `_count`, or from the rest of the listing
-  for a class that `_count` counts by listing.
+  `iter_hom_maps` and the SE_M quotients always take it.  Only the command
+  line (`homcount count --limit`) cuts a listing at a limit; it takes the
+  total from `_count`, or from the rest of the listing for a class that
+  `_count` counts by listing.
 
 Maps are listed in lexicographic order of their values along the search's
 variable order.  Counts are plain Python integers, so they stay exact past
@@ -104,7 +105,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import islice
 from operator import itemgetter
 
 from .quotposet import collapses
@@ -137,13 +137,11 @@ _SURJECTIVE_TARGET = 6
 
 
 class CountResult(_Frozen):
-    __slots__ = ("count", "witnesses", "truncated")
+    __slots__ = ("count", "witnesses")
 
-    def __init__(self, count: int, witnesses: tuple[Morphism, ...] | None = None,
-                 truncated: bool = False):
+    def __init__(self, count: int, witnesses: tuple[Morphism, ...] | None = None):
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "truncated", truncated)
 
 
 class _Record:
@@ -725,24 +723,17 @@ def count_morphisms(
     cls: MorphismClass = MorphismClass.HOM,
     system: FactorisationSystem = SE_M,
     enumerate_witnesses: bool = False,
-    limit: int | None = None,
 ) -> CountResult:
-    """Exact number of maps c -> a in the given class; optionally the maps."""
+    """Exact number of maps c -> a in the given class; with
+    `enumerate_witnesses`, also every one of them as a Morphism, listed once
+    in `iter_hom_maps` order, the count being their number.  The first k
+    maps alone are `itertools.islice(iter_hom_maps(c, a, cls, system), k)`."""
     _check_same_signature(c, a)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1 when given")
     rules = _class_rules(cls, system)
     if not enumerate_witnesses:
         return CountResult(_count(c, a, *rules))
-    # One map past the limit tells a truncated listing.  Its total is counted,
-    # or, for a class counted by listing, read off the rest of the listing.
-    maps = _maps(c, a, *rules)
-    listed = list(islice(maps, None if limit is None else limit + 1))
-    truncated = limit is not None and len(listed) > limit
-    witnesses = tuple(Morphism.build(c, a, f) for f in listed[:limit])
-    if truncated and not _counted_by_listing(c, *rules[1:]):
-        return CountResult(_count(c, a, *rules), witnesses, truncated)
-    return CountResult(len(listed) + sum(1 for _ in maps), witnesses, truncated)
+    witnesses = tuple(Morphism.build(c, a, f) for f in _maps(c, a, *rules))
+    return CountResult(len(witnesses), witnesses)
 
 
 def iter_hom_maps(c: Structure, a: Structure, cls: MorphismClass = MorphismClass.HOM,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cycle_sym, digraph
+from oracles import naive_count
 import homcount.cli
 import homcount.homsearch
 import homcount.profinite
@@ -17,6 +20,9 @@ import homcount.selftest
 import homcount.stirling
 from homcount.cli import EXIT_INTERNAL, run
 from homcount.errors import InvariantViolationError
+from homcount.formats import write_structure
+from homcount.homsearch import iter_hom_maps
+from homcount.sigstruct import E_SM, SE_M, MorphismClass
 
 C6_TEXT = """\
 signature E/2
@@ -158,6 +164,88 @@ def test_count_with_a_limit_lists_a_class_counted_by_listing_once(
     code, out, err = invoke(["count"] + [paths.get(arg, arg) for arg in argv], capsys)
     assert (code, out, err) == (0, expected, "")
     assert len(listings) == 1
+
+
+def test_count_with_a_limit_prints_the_total_then_the_first_maps(files, capsys, monkeypatch):
+    # C6 into a 5-element digraph, 5^6 maps, above the table path's.  A class
+    # counted on a path is listed once, up to the limit; SE_M quotients,
+    # counted by listing, are listed once, in full.
+    c6 = cycle_sym(6)
+    target = digraph(5, {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
+                         (4, 0), (0, 4), (0, 2), (2, 0), (1, 1), (3, 3)})
+    c = files("c6.struct", write_structure("c6", c6))
+    a = files("t5.struct", write_structure("t5", target))
+    cases = [(cls, system, naive_count(c6, target, cls, system),
+              list(iter_hom_maps(c6, target, cls, system)))
+             for cls in MorphismClass for system in (SE_M, E_SM)]
+    pulled = []
+    real_maps = homcount.homsearch._maps
+
+    def maps(*args):
+        pulled.append(0)
+        i = len(pulled) - 1
+        for f in real_maps(*args):
+            pulled[i] += 1
+            yield f
+
+    monkeypatch.setattr(homcount.homsearch, "_maps", maps)
+    truncated = 0
+    for cls, system, total, listing in cases:
+        by_listing = (cls, system) == (MorphismClass.QUOTIENT, SE_M)
+        for k in (1, 3, 100):
+            del pulled[:]
+            code, out, err = invoke(["count", "--class", cls.value, "--system", system.value,
+                                     "--limit", str(k), c, a], capsys)
+            expected = f"{total}\n" + "".join(
+                "map\t" + " ".join(map(str, f)) + "\n" for f in listing[:k])
+            if total > k:
+                expected += "truncated\n"
+                truncated += 1
+            assert (code, out, err) == (0, expected, ""), (cls, system, k)
+            assert pulled == [total if by_listing else min(total, k)], (cls, system, k)
+    assert truncated
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_count_refuses_a_limit_below_one(files, capsys, limit):
+    c = files("arc.struct", ARC_TEXT)
+    a = files("k3.struct", K3_TEXT)
+    for cls in ("hom", "quotient"):
+        code, out, err = invoke(["count", "--class", cls, "--limit", limit, c, a], capsys)
+        assert (code, out, err) == (2, "", "error: limit must be >= 1 when given\n")
+
+
+def test_count_with_a_limit_past_sys_maxsize_lists_every_map(files, capsys):
+    # No listing holds more than sys.maxsize maps, so such a limit cuts none.
+    # The arc has 6 maps into K3, and no quotient, a class counted by listing.
+    c = files("arc.struct", ARC_TEXT)
+    a = files("k3.struct", K3_TEXT)
+    for cls, maps in (("hom", 6), ("quotient", 0)):
+        code, out, err = invoke(["count", "--class", cls, "--limit", str(10 ** 20), c, a],
+                                capsys)
+        assert (code, out, err) == invoke(["count", "--class", cls, "--limit", "1000", c, a],
+                                          capsys)
+        assert (code, err) == (0, "")
+        assert out.count("map\t") == maps and "truncated" not in out
+
+
+def test_count_with_a_limit_counts_its_total_on_the_frontier_path(files, capsys, monkeypatch):
+    # C6 into a 6-element digraph: a plain count the frontier DP takes, once,
+    # while the listing stops at the limit
+    rng = random.Random(6)
+    target = digraph(6, {(i, j) for i in range(6) for j in range(6) if rng.random() < 0.3})
+    c = files("c6.struct", write_structure("c6", cycle_sym(6)))
+    a = files("g6.struct", write_structure("g6", target))
+    calls = []
+    frontier = homcount.homsearch._frontier_count
+    monkeypatch.setattr(homcount.homsearch, "_frontier_count",
+                        lambda *args: calls.append(args) or frontier(*args))
+    code, out, err = invoke(["count", "--limit", "3", c, a], capsys)
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert lines[0] == str(naive_count(cycle_sym(6), target))
+    assert len(lines) == 5 and lines[-1] == "truncated"
+    assert len(calls) == 1
 
 
 def test_count_long_path_into_k2(files, capsys):

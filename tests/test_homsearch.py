@@ -91,7 +91,6 @@ def test_enumeration_matches_naive_maps(single_arc, k3):
     got = sorted(m.map for m in res.witnesses)
     assert got == sorted(naive_morphisms(single_arc, k3))
     assert res.count == len(res.witnesses)
-    assert not res.truncated
 
 
 def spy_reflection(monkeypatch):
@@ -143,73 +142,6 @@ def test_strong_monos_prune_reflection_in_the_search(monkeypatch):
     assert surjections == 60
     assert count_morphisms(c, a, CLS.QUOTIENT, SE_M).count == naive_count(c, a, CLS.QUOTIENT, SE_M)
     assert calls == [surjections]
-
-
-def test_enumeration_limit_flags_truncation(k3):
-    res = count_morphisms(k3, k3, CLS.HOM, enumerate_witnesses=True, limit=2)
-    assert res.truncated
-    assert len(res.witnesses) == 2
-    assert res.count == 6
-
-
-def test_a_truncated_listing_counts_its_total(monkeypatch):
-    # The listing stops one map past the limit, and the total of a truncated
-    # listing is counted, not listed.  (The one class here counted by listing,
-    # SE_M quotients, has no maps, so its listing is never truncated.)
-    pulled = []
-    real_maps = homsearch._maps
-
-    def maps(*args):
-        pulled.append(0)
-        i = len(pulled) - 1
-        for f in real_maps(*args):
-            pulled[i] += 1
-            yield f
-
-    monkeypatch.setattr(homsearch, "_maps", maps)
-    target = digraph(5, {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
-                         (4, 0), (0, 4), (0, 2), (2, 0), (1, 1), (3, 3)})
-    c6 = cycle_sym(6)  # 5^6 maps, above the table path's
-    truncated = 0
-    for cls in CLS:
-        for system in (SE_M, E_SM):
-            expected = naive_count(c6, target, cls, system)
-            for k in (1, 3, 100):
-                del pulled[:]
-                res = count_morphisms(c6, target, cls, system, enumerate_witnesses=True,
-                                      limit=k)
-                assert res.count == expected, (cls, system, k)
-                assert res.truncated == (expected > k)
-                first = list(itertools.islice(iter_hom_maps(c6, target, cls, system), k))
-                assert [m.map for m in res.witnesses] == first
-                assert pulled[0] == min(expected, k + 1)
-                truncated += res.truncated
-    assert truncated
-    # 6 * 5^8 maps, of which 4 are listed
-    del pulled[:]
-    res = count_morphisms(path_sym(9), complete_sym(6), enumerate_witnesses=True, limit=3)
-    assert (res.count, len(res.witnesses), res.truncated) == (6 * 5 ** 8, 3, True)
-    assert pulled == [4]
-
-
-def test_a_truncated_listing_of_a_class_counted_by_listing_goes_on_with_that_listing(
-        monkeypatch):
-    # SE_M quotients are counted by listing them, so the listing that gives
-    # the witnesses also gives the total of a truncated one
-    c, a = digraph(4, {(0, 1)}), digraph(2, {(0, 1)})
-    listings = []
-    maps = homsearch._maps
-    monkeypatch.setattr(homsearch, "_maps", lambda *args: listings.append(args) or maps(*args))
-    res = count_morphisms(c, a, CLS.QUOTIENT, SE_M, enumerate_witnesses=True, limit=1)
-    assert len(listings) == 1
-    assert res.count == naive_count(c, a, CLS.QUOTIENT, SE_M) == 4
-    assert res.truncated
-    assert [m.map for m in res.witnesses] == [(0, 1, 0, 0)]
-
-
-def test_limit_must_be_positive(k3):
-    with pytest.raises(ValueError):
-        count_morphisms(k3, k3, limit=0)
 
 
 def test_an_unknown_class_or_system_is_refused(k3):
@@ -884,13 +816,6 @@ def test_frontier_path_serves_plain_and_surjective_counts_only(monkeypatch):
         count_morphisms(c6, target, cls, system)
     count_morphisms(c6, target, enumerate_witnesses=True)
     assert calls["_frontier_count"] == 0
-    # a listing with a limit counts the total once it is truncated
-    assert count_morphisms(c6, target, enumerate_witnesses=True, limit=3).truncated
-    assert calls["_frontier_count"] == 1
-    # with no witnesses to list, `limit` changes nothing: the plain count
-    assert count_morphisms(c6, target, limit=3).count == naive_count(c6, target)
-    assert calls["_frontier_count"] == 2
-    calls["_frontier_count"] = 0
     # surjective counts without a reflection check, into targets of at most
     # _SURJECTIVE_TARGET elements: 3^8 maps, above the table path's
     c8, k3 = cycle_sym(8), complete_sym(3)

@@ -40,8 +40,7 @@ RECORDS = [
      {"relations": (frozenset({(1, 0)}),)}),
     (Morphism, {"domain": ARC, "codomain": ARC, "map": (0, 1)}, {}, (),
      {"codomain": LOOP}),
-    (CountResult, {"count": 3, "witnesses": (), "truncated": True},
-     {"witnesses": None, "truncated": False}, (), {"count": 4}),
+    (CountResult, {"count": 3, "witnesses": ()}, {"witnesses": None}, (), {"count": 4}),
     (TreeDecomposition, {"bags": (frozenset({0, 1}),), "tree": (), "width": 1}, {}, (),
      {"width": 2}),
     (CkVerdict, {"equivalent": False, "witness": ARC, "counts": (1, 2)},
