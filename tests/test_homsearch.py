@@ -12,6 +12,8 @@ from homcount.errors import SignatureMismatchError
 from homcount import homsearch, profinite, sigstruct
 from homcount.homsearch import _search_plan, count_morphisms, hom_count, iter_hom_maps
 from homcount.cklogic import ck_profile_equal
+from homcount.cli import run
+from homcount.formats import write_structure
 from homcount.lovasz import (
     LEFT,
     RIGHT,
@@ -142,6 +144,68 @@ def test_strong_monos_prune_reflection_in_the_search(monkeypatch):
     assert surjections == 60
     assert count_morphisms(c, a, CLS.QUOTIENT, SE_M).count == naive_count(c, a, CLS.QUOTIENT, SE_M)
     assert calls == [surjections]
+
+
+def count_with_limit(tmp_path, capsys, c, a, limit, *options):
+    # `homcount count --limit`, the one listing that is cut at a limit
+    paths = []
+    for name, s in (("c", c), ("a", a)):
+        path = tmp_path / f"{name}.struct"
+        path.write_text(write_structure(name, s))
+        paths.append(str(path))
+    code = run(["count", *options, "--limit", str(limit), *paths])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return captured.out.splitlines()
+
+
+def map_lines(maps):
+    return ["map\t" + " ".join(map(str, f)) for f in maps]
+
+
+def test_enumeration_limit_flags_truncation(k3, tmp_path, capsys):
+    lines = count_with_limit(tmp_path, capsys, k3, k3, 2)
+    first = itertools.islice(iter_hom_maps(k3, k3), 2)
+    assert lines == ["6"] + map_lines(first) + ["truncated"]
+
+
+def test_a_truncated_listing_counts_its_total(tmp_path, capsys, monkeypatch):
+    # The total of a truncated listing is counted, not listed: the listing
+    # stops at the limit.  6 * 5^8 maps, of which 3 are listed.
+    pulled = []
+    real_maps = homsearch._maps
+
+    def maps(*args):
+        pulled.append(0)
+        i = len(pulled) - 1
+        for f in real_maps(*args):
+            pulled[i] += 1
+            yield f
+
+    monkeypatch.setattr(homsearch, "_maps", maps)
+    p9, k6 = path_sym(9), complete_sym(6)
+    for system in (SE_M, E_SM):
+        del pulled[:]
+        lines = count_with_limit(tmp_path, capsys, p9, k6, 3, "--system", system.value)
+        assert lines[0] == str(6 * 5 ** 8)
+        assert lines[-1] == "truncated" and len(lines) == 5
+        assert pulled == [3]
+    assert lines[1:4] == map_lines(itertools.islice(iter_hom_maps(p9, k6), 3))
+
+
+def test_a_truncated_listing_of_a_class_counted_by_listing_goes_on_with_that_listing(
+        tmp_path, capsys, monkeypatch):
+    # SE_M quotients are counted by listing them, so the listing that gives
+    # the maps printed also gives the total of a truncated one
+    c, a = digraph(4, {(0, 1)}), digraph(2, {(0, 1)})
+    listings = []
+    maps = homsearch._maps
+    monkeypatch.setattr(homsearch, "_maps", lambda *args: listings.append(args) or maps(*args))
+    lines = count_with_limit(tmp_path, capsys, c, a, 1, "--class", "quotient", "--system",
+                             SE_M.value)
+    assert len(listings) == 1
+    assert int(lines[0]) == naive_count(c, a, CLS.QUOTIENT, SE_M) == 4
+    assert lines[1:] == ["map\t0 1 0 0", "truncated"]
 
 
 def test_an_unknown_class_or_system_is_refused(k3):
