@@ -255,8 +255,9 @@ def embeddings_via_mobius(c: Structure, a: Structure,
 
 
 def mobius_invert_ints(poset, f1) -> list[int]:
-    """Given integers f1 on a `quotposet.FinitePoset`, return f2 with
-    f2(y) = sum_{x<=y} f1(x) mu(x,y), the unique solution of
+    """Given integers f1 on a poset with `size`, `down_set` and `mobius` (a
+    `quotposet.FinitePoset`, or the order `quotient_poset(c).poset`), return
+    f2 with f2(y) = sum_{x<=y} f1(x) mu(x,y), the unique solution of
     f1(y) = sum_{x<=y} f2(x).  Only tests call it, as the reference."""
     return [sum(f1[x] * poset.mobius(x, y) for x in poset.down_set(y))
             for y in range(poset.size)]

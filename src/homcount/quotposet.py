@@ -10,12 +10,17 @@ A quotient class of a structure c is keyed by the kernel partition of its
 projection together with the induced codomain (relation tuples are images of
 c's tuples).  The order is "x <= y iff x factors through y", i.e. the kernel
 of y refines the kernel of x; the identity class is the unique top element.
-The interval from a class up to the top is a product of partition lattices,
-one per kernel block, so mu(class, top) has a closed form
-(`partition_mobius`).  Under E_SM a codomain may carry tuples beyond the
-image, the classes are those realized by maps into a target, and
-`_esm_mobius` computes their column mu(-, top) in one pass, pushing mu down
-from the classes where it is not 0.  Exact integer arithmetic throughout.
+`quotient_poset` reads that order off the classes' growth strings
+(`RefinementOrder`) and keeps no table of it.  One test (`_merge`) decides
+refinement and gives the merge of y's blocks into x's.  The interval [x, y]
+is a product of partition lattices, one per block B of x on the m_B blocks
+of y inside B, so mu(x, y) = prod_B (-1)^(m_B - 1) (m_B - 1)! (Rota 1964);
+`partition_mobius` is the case y = top.  Under E_SM a codomain may carry
+tuples beyond the image, the classes are those realized by maps into a
+target, and `_esm_mobius` computes their column mu(-, top) in one pass,
+pushing mu down from the classes where it is not 0.  `FinitePoset` is a
+poset given by its up-sets, with mu by recursion; tests read it as the
+reference order.  Exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -76,14 +81,16 @@ def set_partitions(n: int):
     return map(itemgetter(1), _growth_strings(n))
 
 
-def collapses(c: Structure):
+def collapses(c: Structure, strings=None):
     """(P, c/P) for each partition P of c's elements, in `set_partitions`
     order: c/P has one element per block, numbered by least member, and the
     images of c's tuples as relations.  The growth string of P is the
     projection, and each relation's image is read column by column, the
-    columns taken once per call.  More than PARTITION_SIZE_CAP elements are
-    refused at the call, before the first collapse."""
-    strings = _growth_strings(c.size)
+    columns taken once per call.  `strings` is `_growth_strings(c.size)` when
+    the caller has built it already.  More than PARTITION_SIZE_CAP elements
+    are refused at the call, before the first collapse."""
+    if strings is None:
+        strings = _growth_strings(c.size)
     signature = c.signature
     columns = [list(zip(*rel)) for rel in c.relations]
     return ((blocks, Structure(signature, len(blocks), tuple([
@@ -100,15 +107,31 @@ def block_labels(partition: Partition, n: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def partition_mobius(partition: Partition) -> int:
-    """mu(class, top) for the class with this kernel partition: the product
-    over blocks B of (-1)^(|B|-1) (|B|-1)!, the Moebius value of the
-    partition lattice of B (Rota 1964)."""
+def _merge(fine, coarse, blocks: int):
+    """The distinct pairs of zip(fine, coarse), growth strings of one length,
+    when fine, with this many blocks, refines coarse; else None.  It does
+    exactly when those pairs are as many as its blocks, and they are then
+    the merge: each block of fine paired with the block of coarse that
+    holds it."""
+    pairs = set(zip(fine, coarse))
+    return pairs if len(pairs) == blocks else None
+
+
+def _lattice_mobius(sizes) -> int:
+    """The product over m in sizes of (-1)^(m-1) (m-1)!: mu(bottom, top) of
+    a product of partition lattices, of m-sets for each m (Rota 1964).  A
+    1-set's lattice is one point, with mu 1."""
     mu = 1
-    for block in partition:
-        k = len(block) - 1
-        mu *= (-1) ** k * factorial(k)
+    for m in sizes:
+        if m > 1:
+            mu *= factorial(m - 1) if m % 2 else -factorial(m - 1)
     return mu
+
+
+def partition_mobius(partition: Partition) -> int:
+    """mu(class, top) for the class with this kernel partition: the interval
+    is the product of the partition lattices of its blocks."""
+    return _lattice_mobius(map(len, partition))
 
 
 def collapse_structure(c: Structure, partition: Partition) -> tuple[Structure, tuple[int, ...]]:
@@ -120,11 +143,19 @@ def collapse_structure(c: Structure, partition: Partition) -> tuple[Structure, t
 
 class FinitePoset:
     """A finite poset over elements 0..n-1 given by its up-sets: up_sets[i]
-    holds every j with i <= j."""
+    holds every j with i <= j.  Up-sets that are not one per element, or
+    that name an element outside 0..n-1, or that are not a partial order,
+    are refused with ValueError."""
 
     def __init__(self, size: int, up_sets):
         self.size = size
         self._up = [frozenset(up) for up in up_sets]
+        if len(self._up) != size:
+            raise ValueError(f"need {size} up-sets, one per element, not {len(self._up)}")
+        elements = range(size)
+        for i, up in enumerate(self._up):
+            if not all(j in elements for j in up):
+                raise ValueError(f"the up-set of {i} names an element outside 0..{size - 1}")
         down: list[list[int]] = [[] for _ in range(size)]
         for i, up in enumerate(self._up):
             for j in up:
@@ -173,10 +204,9 @@ def _esm_mobius(keys, top) -> list[int]:
     The classes are visited finest first, more blocks then fewer tuples, so
     every y above x is finished before x: mu(top) = 1, every other mu(x) is
     minus the sum pushed onto x, and each y with mu(y) != 0 pushes mu(y) onto
-    every class below it; a class with mu 0 pushes nothing.  A partition
-    with block labels f refines one with labels g exactly when the distinct
-    pairs of zip(f, g) are as many as its blocks; those pairs are then the
-    merge.  That test runs once per partition that pushes, against each
+    every class below it; a class with mu 0 pushes nothing.  Whether one
+    partition refines another, and the merge of its blocks, come from
+    `_merge`.  That test runs once per partition that pushes, against each
     partition with no more blocks, and the relations are pushed column by
     column."""
     n = sum(map(len, top[0]))
@@ -198,7 +228,7 @@ def _esm_mobius(keys, top) -> list[int]:
             coarser[fine] = [
                 (dict(pairs).__getitem__, lower)
                 for coarse, lower in by_partition.items() if len(coarse) <= len(fine)
-                and len(pairs := set(zip(labels[fine], labels[coarse]))) == len(fine)]
+                and (pairs := _merge(labels[fine], labels[coarse], len(fine))) is not None]
         columns = [list(zip(*rel)) for rel in rels]
         for merge, lower in coarser[fine]:
             images = [set(zip(*[map(merge, col) for col in cols])) for cols in columns]
@@ -216,11 +246,64 @@ class QuotientClass(_Frozen):
         object.__setattr__(self, "codomain", codomain)
 
 
+class RefinementOrder:
+    """The order of a quotient poset, read off its classes' growth strings:
+    `strings[i]` is (s, blocks) as `_growth_strings` gives them, and i <= j
+    exactly when j's partition refines i's.  It answers `size`, `up_set`,
+    `down_set` and `mobius` as `FinitePoset` does, each list sorted, but
+    keeps no up-set until one is read, and reads mu in closed form."""
+
+    def __init__(self, strings):
+        self.size = len(strings)
+        self._strings = strings
+        self._index = {s: i for i, (s, _) in enumerate(strings)}
+        # growth strings by length: a class's block count picks its coarsenings
+        self._merges = {len(strings[0][0]): [s for s, _ in strings]}
+        self._up: list[list[int]] | None = None
+
+    def down_set(self, y: int) -> list[int]:
+        """The partitions coarser than y's: y's blocks merged by each
+        partition of y's block numbers, the composed growth string giving
+        the merged one.  Composing keeps lexicographic order, so the list
+        comes out sorted.  The identity string composes to the merge itself
+        (and for fewer than two elements itemgetter would return a bare
+        label, not a tuple)."""
+        s, blocks = self._strings[y]
+        k = len(blocks)
+        if k not in self._merges:
+            self._merges[k] = [m for m, _ in _growth_strings(k)]
+        compose = itemgetter(*s) if k < len(s) else tuple
+        index = self._index
+        return [index[compose(m)] for m in self._merges[k]]
+
+    def up_set(self, x: int) -> list[int]:
+        """The partitions that refine x's; all up-sets are the down-sets
+        transposed once, the first time one is read."""
+        if self._up is None:
+            self._up = [[] for _ in range(self.size)]
+            for y in range(self.size):
+                for i in self.down_set(y):
+                    self._up[i].append(y)
+        return list(self._up[x])
+
+    def mobius(self, x: int, y: int) -> int:
+        """mu(x, y) in closed form: the interval is the product, over blocks
+        B of x, of the partition lattices of the m_B blocks of y inside B."""
+        (fine, blocks), (coarse, coarse_blocks) = self._strings[y], self._strings[x]
+        merge = _merge(fine, coarse, len(blocks))
+        if merge is None:
+            raise ValueError(f"mobius undefined: {x} is not <= {y}")
+        sizes = [0] * len(coarse_blocks)
+        for _, b in merge:
+            sizes[b] += 1
+        return _lattice_mobius(sizes)
+
+
 class QuotientPoset:
     """Q(c): one class per kernel partition, ordered by factorization."""
 
     def __init__(self, source: Structure, elements: tuple[QuotientClass, ...],
-                 poset: FinitePoset, top: int):
+                 poset: RefinementOrder, top: int):
         self.source = source
         self.elements = elements
         self.poset = poset
@@ -237,22 +320,10 @@ def quotient_poset(c: Structure) -> QuotientPoset:
     Each class's codomain is the collapse of c by its kernel partition, so
     the projection onto it is a quotient under both factorisation systems and
     the poset is the same for both; the identity class is the top element.
+    The growth strings are built once: they give the collapses, and the
+    order reads them (`RefinementOrder`), with no up-set built.
     """
-    classes = tuple(QuotientClass(p, q) for p, q in collapses(c))
-    labels = [s for s, _ in _growth_strings(c.size)]
-    index = {s: i for i, s in enumerate(labels)}
-    # The partitions coarser than p are p's blocks merged by each partition of
-    # p's block numbers; composing growth strings gives the merged one.  The
-    # identity string composes to the merge itself (and for fewer than two
-    # elements itemgetter would return a bare label, not a tuple).
-    merges: dict[int, list[tuple[int, ...]]] = {c.size: labels}
-    up_sets: list[list[int]] = [[] for _ in labels]
-    for j, s in enumerate(labels):
-        k = max(s, default=-1) + 1
-        if k not in merges:
-            merges[k] = [m for m, _ in _growth_strings(k)]
-        compose = itemgetter(*s) if k < len(s) else tuple
-        for m in merges[k]:
-            up_sets[index[compose(m)]].append(j)
+    strings = _growth_strings(c.size)
+    classes = tuple(QuotientClass(p, q) for p, q in collapses(c, strings))
     # the identity class is the last growth string, 0, 1, ..., n - 1
-    return QuotientPoset(c, classes, FinitePoset(len(classes), up_sets), len(classes) - 1)
+    return QuotientPoset(c, classes, RefinementOrder(strings), len(classes) - 1)

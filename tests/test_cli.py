@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cycle_sym, digraph
+from conftest import MIXED_SIGNATURES, cycle_sym, digraph, random_looped, random_mixed
 from oracles import naive_count
 import homcount.cli
 import homcount.homsearch
@@ -22,7 +23,7 @@ from homcount.cli import EXIT_INTERNAL, run
 from homcount.errors import InvariantViolationError
 from homcount.formats import write_structure
 from homcount.homsearch import iter_hom_maps
-from homcount.sigstruct import E_SM, SE_M, MorphismClass
+from homcount.sigstruct import E_SM, GRAPH_SIGNATURE, SE_M, MorphismClass
 
 C6_TEXT = """\
 signature E/2
@@ -382,6 +383,37 @@ def test_mobius_output(files, capsys):
     assert "element\t1\t0|1" in lines  # the identity (top) class
     assert "hasse\t0\t1" in lines
     assert "mobius\t0\t1\t-1" in lines
+
+
+# sha256 of `homcount mobius` stdout by element count, taken when the table
+# was read off a checked up-set table with mu by recursion (`FinitePoset`).
+# The table reads only the partitions, so it depends on the element count
+# alone.
+MOBIUS_TABLE_SHA256 = {
+    0: "f9bc7791af08d0832ca92c967784a3424532f87651a1dc6cc1541e9a4290c9ab",
+    1: "13587aa0ecd0e488676daaa43c364c8e21d38bbfafec12d79155b1ef97ffe0f7",
+    2: "cbf978417bc1ae50bd597e9c8caae0482f52f9a710817e21a2012bf11dbae026",
+    3: "a251513e01c24b6b101d15dd85fdb6fe54bd67ab243099df50800fa829656fa8",
+    4: "ba255f6e13558af97e229ea1b171c719b5981dd351817351e9e4d525ac5ef7f9",
+    5: "6a3cacd298cd1042e1cf62f4ff2d3047b7d1036349c03c1b6fa7a8fbb2a44e1b",
+    6: "96fff0c196ea9152695ee82b47a7dd9119c9aed3d3f627372289002bade2b8d4",
+    7: "e7eebebe5bc7ce7c5421779e622d49deb532bd90d237eebe0d1a2578e0b6020d",
+    8: "90871443ecd99c3403460689fe152bffddb31626b93b873cc5f46167053702eb",
+}
+
+
+def test_mobius_table_is_byte_identical(files, capsys):
+    # E/2 with loops on 0-8 elements, and the mixed arity E/2,R/3 on 0-7
+    # (the 8-element table, 4,140 classes, is the dear one).
+    rng = random.Random(35)
+    cases = [(n, random_looped(rng, GRAPH_SIGNATURE, n, 0.3) if n else digraph(0, set()))
+             for n in range(9)]
+    cases += [(n, random_mixed(rng, MIXED_SIGNATURES[0], n)) for n in range(8)]
+    for n, c in cases:
+        code, out, err = invoke(["mobius", files(f"c{n}.struct", write_structure("c", c))],
+                                capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == MOBIUS_TABLE_SHA256[n], c
 
 
 def test_kernel_output(files, capsys):

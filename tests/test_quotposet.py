@@ -18,6 +18,7 @@ from homcount.lovasz import (
 from homcount.quotposet import (
     PARTITION_SIZE_CAP,
     FinitePoset,
+    RefinementOrder,
     _esm_mobius,
     collapse_structure,
     collapses,
@@ -109,6 +110,7 @@ def test_quotient_poset_order_is_refinement():
     sources = [no_relation(n) for n in range(7)]
     sources += [digraph(n, {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.3})
                 for n in range(1, 7) for _ in range(2)]
+    sources += [random_mixed(rng, MIXED_SIGNATURES[0], n) for n in range(7)]
     for c in sources:
         q = quotient_poset(c)
         parts = [e.partition for e in q.elements]
@@ -121,6 +123,60 @@ def test_quotient_poset_order_is_refinement():
                                          if partition_refines(r, p, c.size)]
             assert q.poset.down_set(i) == [j for j, r in enumerate(parts)
                                            if partition_refines(p, r, c.size)]
+
+
+def order_cases(sizes):
+    """E/2 with loops and the mixed arity E/2,R/3, one structure each per
+    size."""
+    rng = random.Random(35)
+    return [case for n in sizes for case in (
+        random_looped(rng, GRAPH_SIGNATURE, n, 0.3) if n else digraph(0, set()),
+        random_mixed(rng, MIXED_SIGNATURES[0], n))]
+
+
+def test_closed_form_mobius_matches_the_recursion_on_every_comparable_pair():
+    # The order's closed form against FinitePoset.mobius, the recursion on the
+    # same up-sets, on every comparable pair through 7 elements (19,302 pairs
+    # at 7).
+    for c in order_cases(range(8)):
+        order = quotient_poset(c).poset
+        up_sets = [order.up_set(x) for x in range(order.size)]
+        reference = FinitePoset(order.size, up_sets)
+        for x, up in enumerate(up_sets):
+            for y in up:
+                assert order.mobius(x, y) == reference.mobius(x, y), (c, x, y)
+
+
+def test_mobius_of_an_incomparable_pair_is_refused_as_the_recursion_refuses_it():
+    for c in order_cases(range(6)):
+        order = quotient_poset(c).poset
+        reference = FinitePoset(order.size, [order.up_set(x) for x in range(order.size)])
+        for x, y in itertools.product(range(order.size), repeat=2):
+            if y not in order.up_set(x):
+                with pytest.raises(ValueError) as got:
+                    order.mobius(x, y)
+                with pytest.raises(ValueError) as want:
+                    reference.mobius(x, y)
+                assert str(got.value) == str(want.value) == f"mobius undefined: {x} is not <= {y}"
+
+
+def test_quotient_poset_builds_no_up_set_table(monkeypatch):
+    # quotient_poset builds no FinitePoset, and mu(-, top) reads no up-set
+    # or down-set: the order transposes its down-sets only when an up-set is
+    # read.
+    def refuse(*args, **kwargs):
+        raise AssertionError("up-set table built")
+
+    monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    monkeypatch.setattr(RefinementOrder, "up_set", refuse)
+    monkeypatch.setattr(RefinementOrder, "down_set", refuse)
+    for c in order_cases(range(8)):
+        q = quotient_poset(c)
+        assert [q.poset.mobius(i, q.top) for i in range(len(q))] == [
+            partition_mobius(e.partition) for e in q.elements]
+        assert q.poset._up is None
+    monkeypatch.undo()
+    assert q.poset.up_set(q.top) == [q.top] and q.poset._up is not None
 
 
 def test_quotient_poset_at_the_cap():
@@ -282,8 +338,8 @@ def collapsed(monkeypatch):
     collapses = sys.modules["homcount.quotposet"].collapses
     calls = []
 
-    def spy(s):
-        for item in collapses(s):
+    def spy(s, *args):
+        for item in collapses(s, *args):
             calls.append(s)
             yield item
 
@@ -349,6 +405,12 @@ def test_finite_poset_rejects_non_orders():
         FinitePoset(2, [{0, 1}, {0, 1}])
     with pytest.raises(ValueError, match="transitive"):
         FinitePoset(3, [{0, 1}, {1, 2}, {2}])
+    with pytest.raises(ValueError, match="outside 0..1"):
+        FinitePoset(2, [{0, 1, -1}, {1}])
+    with pytest.raises(ValueError, match="outside 0..1"):
+        FinitePoset(2, [{0, 1, 2}, {1}])
+    with pytest.raises(ValueError, match="need 3 up-sets, one per element, not 2"):
+        FinitePoset(3, [{0}, {1}])
 
 
 def test_mobius_reflexive_and_chain():
